@@ -17,7 +17,8 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .cohomology import lowest_degree
-from .endoscopy import bijection, dominant_group, iota
+from .endoscopy import EndoscopicDatum, dominant_group, iota
+from .guards import DEFAULT_CHAIN_GUARD, GuardError, guard_limit
 from .hyperendoscopy import GroupSymbol
 from .params import (
     ArthurShape,
@@ -34,6 +35,7 @@ __all__ = [
     "Derivation",
     "DominanceResult",
     "stable_coefficient",
+    "coefficient_sum",
     "i_disc_model",
     "dominance_check",
     "derive_exponent",
@@ -66,41 +68,88 @@ class PacketModel:
         return sum((t for _, t in self.members), Fraction(0))
 
 
-def _split_group_order(part1_len: int, part2_len: int) -> int:
-    """|sign group| of a split parameter: 2^(r1-1) * 2^(r2-1), one factor if trivial."""
-    if part2_len == 0:
-        return 1 << (part1_len - 1)
-    return 1 << ((part1_len - 1) + (part2_len - 1))
+def _numerator(r: int, N: int, n2: int) -> int:
+    """C(psi, s) * 4 * 2^(r-1) for an element whose minus blocks have rank n2.
+
+    The identity (n2 = 0) has the improper datum and the trivial split, whose
+    sign group has order 2^(r-1).  Any other element splits the blocks into
+    two nonempty parts of lengths l1 + l2 = r, whose sign group has order
+    2^((l1-1)+(l2-1)) = 2^(r-2) whatever l1 and l2 are.  Over the common
+    denominator 4 * 2^(r-1) the coefficient is therefore 4 * iota or 8 * iota.
+    """
+    datum = EndoscopicDatum(max(N - n2, n2), min(N - n2, n2))
+    scaled = iota(datum) * (4 if n2 == 0 else 8)
+    return scaled.numerator
 
 
 def stable_coefficient(shape: ArthurShape, s: BlockSignVector) -> Fraction:
-    """C(psi, s) = iota of the datum under s divided by the split sign-group order."""
-    table = bijection(shape)
-    if s not in table:
+    """C(psi, s) = iota of the datum under s divided by the split sign-group order.
+
+    Read off the minus blocks of s in O(r); the datum and the split are those
+    of ``bijection(shape)[s]``.
+    """
+    group = centralizer_group(shape)
+    if len(s) != shape.r:
         raise ValueError(f"sign vector {s} does not belong to the group of {shape}")
-    datum, split = table[s]
-    return iota(datum) / _split_group_order(len(split.part1), len(split.part2))
+    n2 = sum(shape.summands[i].block_dim for i in s.minus_indices)
+    return Fraction(_numerator(shape.r, shape.N, n2), 4 << group.rank)
+
+
+def coefficient_sum(shape: ArthurShape) -> Fraction:
+    """sum over the sign group of C(psi, s), in O(r * N).
+
+    The minus blocks of an element are a subset of blocks 1..r-1 and its
+    coefficient depends only on their total rank, so a subset-sum count of
+    those blocks by rank replaces the walk over all 2^(r-1) elements.
+    """
+    group = centralizer_group(shape)
+    dims = [s.block_dim for s in shape.summands]
+    count = [1] + [0] * (shape.N - dims[0])  # count[n2]: subsets of rank n2
+    top = 0
+    for d in dims[1:]:
+        top += d
+        for n2 in range(top, d - 1, -1):
+            count[n2] += count[n2 - d]
+    total = sum(c * _numerator(shape.r, shape.N, n2) for n2, c in enumerate(count) if c)
+    return Fraction(total, 4 << group.rank)
+
+
+def _walsh_hadamard(values: list[int]) -> None:
+    """In place: values[m] becomes sum_e values[e] * (-1)^popcount(m & e)."""
+    h = 1
+    while h < len(values):
+        for start in range(0, len(values), 2 * h):
+            for j in range(start, start + h):
+                x, y = values[j], values[j + h]
+                values[j], values[j + h] = x + y, x - y
+        h *= 2
 
 
 def i_disc_model(shape: ArthurShape, packet: PacketModel) -> Fraction:
-    """Exact double sum: coefficients against character values at s_psi * s."""
+    """Exact double sum: coefficients against character values at s_psi * s.
+
+    With m = chi.mask ^ epsilon.mask the double sum is
+    sum_chi t_chi * (-1)^<m, s_psi> * C^(m), where C^ is the Walsh-Hadamard
+    transform of the coefficient table, so it costs O(r * 2^r + members).
+    """
     group = centralizer_group(shape)
     if packet.rank != group.rank:
         raise ValueError(
             f"packet rank {packet.rank} does not match group rank {group.rank}"
         )
+    dims = [s.block_dim for s in shape.summands]
+    minus_rank = [0] * group.order
+    for e in range(1, group.order):
+        low = (e & -e).bit_length()  # bit low - 1 toggles block low
+        minus_rank[e] = minus_rank[e & (e - 1)] + dims[low]
+    table = [_numerator(shape.r, shape.N, n2) for n2 in minus_rank]
+    _walsh_hadamard(table)
     sp = group.from_sign_vector(s_psi(shape))
     total = Fraction(0)
-    for element in group.elements:
-        coeff = stable_coefficient(shape, group.to_sign_vector(element))
-        shifted = sp ^ element
-        inner = sum(
-            (packet.epsilon(shifted) * chi(shifted) * trace
-             for chi, trace in packet.members),
-            Fraction(0),
-        )
-        total += coeff * inner
-    return total
+    for chi, trace in packet.members:
+        m = chi.mask ^ packet.epsilon.mask
+        total += trace * (-table[m] if (m & sp).bit_count() % 2 else table[m])
+    return total / (4 << group.rank)
 
 
 class DominanceResult(NamedTuple):
@@ -117,15 +166,10 @@ def dominance_check(shape: ArthurShape, packet: PacketModel) -> DominanceResult:
     is the plain trace sum; every other term is bounded by it when traces
     are nonnegative.
     """
-    group = centralizer_group(shape)
     i_value = i_disc_model(shape, packet)
     c_dom = stable_coefficient(shape, s_psi(shape))
     s_dominant = c_dom * packet.trace_total
-    c_sum = sum(
-        (stable_coefficient(shape, group.to_sign_vector(e)) for e in group.elements),
-        Fraction(0),
-    )
-    c_psi = c_sum / c_dom
+    c_psi = coefficient_sum(shape) / c_dom
     return DominanceResult(i_value, s_dominant, c_psi, i_value <= c_psi * s_dominant)
 
 
@@ -185,12 +229,37 @@ def _partitions(n: int, max_part: int | None = None):
             yield (p,) + rest
 
 
+def _partition_count(n: int, cap: int) -> int:
+    """p(n) by Euler's pentagonal recurrence, stopping early above ``cap``.
+
+    p is nondecreasing, so the first p(m) > cap with m <= n is returned as a
+    lower bound for p(n) that already exceeds the cap; the work is
+    O(min(n, m)^1.5) integer additions either way.
+    """
+    p = [1]
+    for m in range(1, n + 1):
+        total, j = 0, 1
+        while True:
+            g = j * (3 * j - 1) // 2
+            if g > m:
+                break
+            sign = 1 if j % 2 else -1
+            total += sign * p[m - g]
+            if g + j <= m:
+                total += sign * p[m - g - j]
+            j += 1
+        p.append(total)
+        if total > cap:
+            break
+    return p[-1]
+
+
 def savin_exponent(group: GroupSymbol) -> int:
     """Volume growth exponent dim(group) - 1 = sum of squared ranks minus one."""
     return group.dim - 1
 
 
-def derive_exponent(N: int, a: int, k: int) -> Derivation:
+def derive_exponent(N: int, a: int, k: int, *, guard: int | None = None) -> Derivation:
     """Exponent derivation for level growth on U(a, b), b = N - a.
 
     The parameter family has SL(2) shape nu(2k) + nu(1)^(N-2k); the dominant
@@ -198,23 +267,28 @@ def derive_exponent(N: int, a: int, k: int) -> Derivation:
     factor.  Each refinement chain of the second factor with terminal ranks
     lambda contributes exponent (N^2 - (2k)^2 + sum(lambda_j^2))/2, maximal
     at the unrefined dominant group where it equals N(N - 2k).
+
+    The table has one row per partition of N - 2k; above the chain cap
+    (``guard``, else ENDOSCOPYLAB_GUARD, else the default) the derivation
+    raises :class:`GuardError` before building anything.
     """
     if not 1 <= k <= N // 2:
         raise ValueError(f"need 1 <= k <= {N // 2}, got k={k}")
     if not 0 <= a <= N // 2:
         raise ValueError(f"need 0 <= a <= {N // 2}, got a={a}")
-    b = N - a
-    i0 = lowest_degree(a, b, k)
     rank_even_block = 2 * k
     rank_odd_block = N - rank_even_block
+    cap = guard_limit(guard, DEFAULT_CHAIN_GUARD)
+    rows = _partition_count(rank_odd_block, cap)
+    if rows > cap:
+        raise GuardError(
+            f"the chain table of derive would hold p({rank_odd_block}) >= {rows} "
+            f"rows, above the cap {cap}"
+        )
+    b = N - a
+    i0 = lowest_degree(a, b, k)
     shape = from_cohomological((rank_even_block,) + (1,) * rank_odd_block)
-    group = centralizer_group(shape)
-    c_dom = stable_coefficient(shape, s_psi(shape))
-    c_sum = sum(
-        (stable_coefficient(shape, group.to_sign_vector(e)) for e in group.elements),
-        Fraction(0),
-    )
-    c_psi = c_sum / c_dom
+    c_psi = coefficient_sum(shape) / stable_coefficient(shape, s_psi(shape))
 
     steps = [
         DerivationStep(
@@ -268,13 +342,17 @@ def derive_exponent(N: int, a: int, k: int) -> Derivation:
         table = []
         for lam in _partitions(rank_odd_block):
             dim2 = sum(x * x for x in lam)
-            assert dim2 <= rank_odd_block**2
+            if dim2 > rank_odd_block**2:
+                raise RuntimeError(f"terminal ranks {lam} exceed the odd block")
             exponent = (N * N - rank_even_block**2 + dim2) // 2
             table.append((GroupSymbol((rank_even_block,) + lam), exponent))
         max_exponent = max(e for _, e in table)
         dominant_exponent = d_gap + 1 + savin
         # composition identity 2k(N-2k) + 1 + ((N-2k)^2 - 1) = N(N-2k)
-        assert dominant_exponent == N * (N - 2 * k)
+        if dominant_exponent != N * (N - 2 * k):
+            raise RuntimeError(
+                f"dominant composition gave {dominant_exponent}, not N(N - 2k)"
+            )
         max_matches = max_exponent == dominant_exponent
         final = max_exponent
         steps.extend(

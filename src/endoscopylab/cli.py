@@ -407,7 +407,7 @@ def _cmd_sx(ns: argparse.Namespace, cfg: Config) -> int:
 
 
 def _cmd_derive(ns: argparse.Namespace, cfg: Config) -> int:
-    d = derive_exponent(ns.N, ns.a, ns.k)
+    d = derive_exponent(ns.N, ns.a, ns.k, guard=cfg.chain_guard)
     fmt = "json" if ns.json else cfg.format
     payload = {"schema_version": SCHEMA_VERSION, **d.to_json()}
     lines = [f"exponent derivation for U({ns.a},{ns.N - ns.a}), N={ns.N}, k={ns.k}:"]

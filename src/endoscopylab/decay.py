@@ -90,5 +90,6 @@ def sx_check(N: int, k: int) -> SxResult:
         raise ValueError(f"need 1 <= k <= {N // 2}, got k={k}")
     theorem = N * (N - 2 * k)
     sx = Fraction((N * N - 1) * (N - 2 * k), N - 1)
-    assert sx.denominator == 1
+    if sx.denominator != 1:
+        raise RuntimeError(f"allowance {sx} is not an integer")
     return SxResult(theorem, int(sx), theorem <= int(sx))

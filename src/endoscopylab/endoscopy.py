@@ -155,6 +155,17 @@ def make_split(
     return ParameterSplit(a, b)
 
 
+def _split_under(
+    shape: ArthurShape, vector: BlockSignVector
+) -> tuple[EndoscopicDatum, ParameterSplit]:
+    """Datum and split of one sign vector: its minus-blocks against its plus-blocks."""
+    minus = set(vector.minus_indices)
+    plus_part = tuple(s for i, s in enumerate(shape.summands) if i not in minus)
+    minus_part = tuple(s for i, s in enumerate(shape.summands) if i in minus)
+    split = make_split(plus_part, minus_part)
+    return split.datum, split
+
+
 def bijection(
     shape: ArthurShape,
 ) -> dict[BlockSignVector, tuple[EndoscopicDatum, ParameterSplit]]:
@@ -169,11 +180,7 @@ def bijection(
     out: dict[BlockSignVector, tuple[EndoscopicDatum, ParameterSplit]] = {}
     for element in group.elements:
         vector = group.to_sign_vector(element)
-        minus = set(vector.minus_indices)
-        plus_part = tuple(s for i, s in enumerate(shape.summands) if i not in minus)
-        minus_part = tuple(s for i, s in enumerate(shape.summands) if i in minus)
-        split = make_split(plus_part, minus_part)
-        out[vector] = (split.datum, split)
+        out[vector] = _split_under(shape, vector)
     return out
 
 
@@ -182,9 +189,11 @@ def dominant_group(shape: ArthurShape) -> tuple[EndoscopicDatum, ParameterSplit]
 
     Blocks with even SL(2) dimension form one factor and those with odd
     dimension the other; for a shape with all dimensions of equal parity this
-    is the improper datum with the trivial split.
+    is the improper datum with the trivial split.  Costs O(r): only the one
+    entry of :func:`bijection` is built.
     """
-    return bijection(shape)[s_psi(shape)]
+    centralizer_group(shape)  # rejects a non-elliptic shape, as bijection does
+    return _split_under(shape, s_psi(shape))
 
 
 def kottwitz_sign_real(p: int, q: int) -> int:
@@ -259,11 +268,15 @@ def check_inner_form(spec: InnerFormSpec, N: int) -> bool:
     _validate_spec(spec, N)
     product = global_kottwitz_product(spec, N)
     if N % 2 == 1:
-        assert product == 1
+        if product != 1:
+            raise RuntimeError(f"odd rank {N} gave global Kottwitz product {product}")
         return True
     parity = (sum(N // 2 + q for _, q in spec.signatures) + len(spec.finite_flips)) % 2
     ok = parity == 0
-    assert (product == 1) == ok
+    if (product == 1) != ok:
+        raise RuntimeError(
+            f"Kottwitz product {product} disagrees with invariant parity {parity}"
+        )
     return ok
 
 

@@ -505,6 +505,7 @@ def dominant_contribution(
     if s_psi(shape).is_identity:
         return expand_stable(shape=shape)
     datum, split = endoscopy.dominant_group(shape)
+    if split.is_trivial:
+        raise RuntimeError(f"nontrivial central sign of {shape} gave a trivial split")
     assignment = (split.shape1, split.shape2)
-    assert assignment[1] is not None
     return iota(datum) * chain_expansion(assignment=assignment, guard=guard)

@@ -14,7 +14,15 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Callable, Iterator
 
-from .bounds import PacketModel, derive_exponent, dominance_check
+from .bounds import (
+    DominanceResult,
+    PacketModel,
+    _partitions,
+    coefficient_sum,
+    derive_exponent,
+    dominance_check,
+    stable_coefficient,
+)
 from .cohomology import (
     Bipartition,
     brute_poincare,
@@ -29,6 +37,7 @@ from .endoscopy import (
     InnerFormSpec,
     bijection,
     check_inner_form,
+    dominant_group,
     elliptic_data,
     global_kottwitz_product,
     iota,
@@ -39,9 +48,23 @@ from .hyperendoscopy import (
     expand_stable,
     verify_inversion,
 )
-from .params import ArthurShape, Summand, centralizer_group, from_cohomological
+from .params import (
+    ArthurShape,
+    BlockSignVector,
+    Summand,
+    centralizer_group,
+    from_cohomological,
+    s_psi,
+)
 
-__all__ = ["CheckResult", "ALL_CHECKS", "run_all", "DEFAULT_SEED"]
+__all__ = [
+    "CheckResult",
+    "ALL_CHECKS",
+    "run_all",
+    "DEFAULT_SEED",
+    "brute_coefficients",
+    "brute_i_disc",
+]
 
 DEFAULT_SEED = 1729
 
@@ -51,16 +74,6 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
-
-
-def _partitions(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
-    if n == 0:
-        yield ()
-        return
-    top = min(n, max_part) if max_part is not None else n
-    for p in range(top, 0, -1):
-        for rest in _partitions(n - p, p):
-            yield (p,) + rest
 
 
 def _all_bipartitions(a: int, b: int) -> Iterator[Bipartition]:
@@ -156,8 +169,61 @@ def _shapes_with_r_parts(max_N: int, r: int) -> list[ArthurShape]:
     return out
 
 
+def brute_coefficients(shape: ArthurShape) -> dict[BlockSignVector, Fraction]:
+    """Oracle for C(psi, s), from every entry of the bijection table.
+
+    The value is iota of the entry's datum over the sign-group order of its split.
+    """
+    out = {}
+    for vector, (datum, split) in bijection(shape).items():
+        order = 1 << (len(split.part1) - 1 + max(len(split.part2) - 1, 0))
+        out[vector] = iota(datum) / order
+    return out
+
+
+def brute_i_disc(
+    shape: ArthurShape,
+    packet: PacketModel,
+    coefficients: dict[BlockSignVector, Fraction],
+) -> Fraction:
+    """Oracle for the discrete trace: the double sum over group and members."""
+    group = centralizer_group(shape)
+    sp = group.from_sign_vector(s_psi(shape))
+    total = Fraction(0)
+    for element in group.elements:
+        shifted = sp ^ element
+        inner = sum(
+            (packet.epsilon(shifted) * chi(shifted) * trace
+             for chi, trace in packet.members),
+            Fraction(0),
+        )
+        total += coefficients[group.to_sign_vector(element)] * inner
+    return total
+
+
+def _fast_path_mismatch(
+    shape: ArthurShape, packet: PacketModel, result: DominanceResult
+) -> str | None:
+    """The fast sign-group paths against the brute oracles; None when all agree."""
+    coefficients = brute_coefficients(shape)
+    for vector, coeff in coefficients.items():
+        if stable_coefficient(shape, vector) != coeff:
+            return f"stable_coefficient off at {vector} for {shape}"
+    if dominant_group(shape) != bijection(shape)[s_psi(shape)]:
+        return f"dominant_group off for {shape}"
+    if coefficient_sum(shape) != sum(coefficients.values()):
+        return f"coefficient_sum off for {shape}"
+    if result.i_value != brute_i_disc(shape, packet, coefficients):
+        return f"i_disc_model off for {shape}"
+    return None
+
+
 def check_dominance(seed: int = DEFAULT_SEED) -> CheckResult:
-    """Criterion 3: dominance holds over exhaustive and random packets."""
+    """Criterion 3: dominance holds over exhaustive and random packets.
+
+    Every packet also cross-checks the fast coefficient, coefficient-sum and
+    Walsh-Hadamard trace paths against the brute oracles above.
+    """
     cases = 0
     for r in range(1, 6):
         for shape in _shapes_with_r_parts(6, r):
@@ -171,6 +237,9 @@ def check_dominance(seed: int = DEFAULT_SEED) -> CheckResult:
                     return CheckResult(
                         "dominance", False, f"violated for {shape}, eps={eps.mask}"
                     )
+                mismatch = _fast_path_mismatch(shape, packet, result)
+                if mismatch:
+                    return CheckResult("dominance", False, mismatch)
                 cases += 1
     rng = random.Random(seed)
     shapes_by_r = {r: _shapes_with_r_parts(8, r) for r in range(1, 6)}
@@ -188,9 +257,15 @@ def check_dominance(seed: int = DEFAULT_SEED) -> CheckResult:
         result = dominance_check(shape, packet)
         if not result.holds:
             return CheckResult("dominance", False, f"random violation for {shape}")
+        mismatch = _fast_path_mismatch(shape, packet, result)
+        if mismatch:
+            return CheckResult("dominance", False, mismatch)
         cases += 1
     return CheckResult(
-        "dominance", True, f"{cases} packets (exhaustive r<=5 + 1000 random), 0 violations"
+        "dominance",
+        True,
+        f"{cases} packets (exhaustive r<=5 + 1000 random), 0 violations, "
+        "fast paths equal to the brute oracles",
     )
 
 
@@ -223,7 +298,7 @@ def check_inversion() -> CheckResult:
 def check_exponent_pipeline() -> CheckResult:
     """Criterion 5: derived exponent N(N-2k) with the chain max at the dominant term."""
     cases = 0
-    for N in range(2, 11):
+    for N in range(2, 17):
         for k in range(1, N // 2 + 1):
             for a in range(0, N // 2 + 1):
                 d = derive_exponent(N, a, k)
@@ -243,7 +318,7 @@ def check_exponent_pipeline() -> CheckResult:
     check = derive_exponent(5, 1, 2)
     if check.final != 5:
         return CheckResult("exponent_pipeline", False, f"N=5 k=2 gave {check.final}")
-    return CheckResult("exponent_pipeline", True, f"{cases} (N,a,k) triples, N<=10")
+    return CheckResult("exponent_pipeline", True, f"{cases} (N,a,k) triples, N<=16")
 
 
 def check_sarnak_xue() -> CheckResult:

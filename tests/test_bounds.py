@@ -1,24 +1,32 @@
 """Stable coefficients, the dominance inequality, and the exponent derivation."""
 
+import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
 from endoscopylab.bounds import (
     PacketModel,
+    coefficient_sum,
     derive_exponent,
     dominance_check,
     i_disc_model,
     savin_exponent,
     stable_coefficient,
 )
+from endoscopylab.endoscopy import bijection, dominant_group
+from endoscopylab.guards import GuardError
 from endoscopylab.hyperendoscopy import GroupSymbol
 from endoscopylab.params import (
+    ArthurShape,
     BlockSignVector,
+    Summand,
     centralizer_group,
     from_cohomological,
     s_psi,
 )
+from endoscopylab.selftest import brute_coefficients, brute_i_disc
 
 
 def trivial_packet(shape):
@@ -149,3 +157,79 @@ def test_dominance_respects_epsilon_twist():
     packet = PacketModel(group.rank, members, sign_char)
     result = dominance_check(shape, packet)
     assert result.holds
+
+
+def fast_path_shapes():
+    """Cohomological shapes with parts <= 4 and r <= 6, in both part orders,
+    plus a labelled shape with blocks of rank n > 1."""
+    for r in range(1, 7):
+        for parts in combinations_with_replacement(range(4, 0, -1), r):
+            yield from_cohomological(parts)
+            if parts != parts[::-1]:
+                yield from_cohomological(parts[::-1])
+    yield ArthurShape(
+        (
+            Summand("a", 2, 3),
+            Summand("b", 1, 2),
+            Summand("c", 3, 1),
+            Summand("d", 1, 5),
+        )
+    )
+
+
+def test_fast_paths_match_brute_oracles():
+    rng = random.Random(7)
+    for shape in fast_path_shapes():
+        coefficients = brute_coefficients(shape)
+        for vector, coeff in coefficients.items():
+            assert stable_coefficient(shape, vector) == coeff, (shape, vector)
+        assert dominant_group(shape) == bijection(shape)[s_psi(shape)]
+        assert coefficient_sum(shape) == sum(coefficients.values())
+        group = centralizer_group(shape)
+        chars = group.characters()
+        members = tuple(
+            (chi, Fraction(rng.randint(0, 9), rng.randint(1, 9)))
+            for chi in rng.sample(chars, rng.randint(1, len(chars)))
+        )
+        seeded = PacketModel(group.rank, members, rng.choice(chars))
+        for packet in (trivial_packet(shape), seeded):
+            expected = brute_i_disc(shape, packet, coefficients)
+            assert i_disc_model(shape, packet) == expected
+
+
+def test_stable_coefficient_rejects_bad_input():
+    shape = from_cohomological((2, 1, 1))
+    with pytest.raises(ValueError):
+        stable_coefficient(shape, BlockSignVector((1, -1)))
+    with pytest.raises(ValueError):
+        stable_coefficient(shape, BlockSignVector((1, -1, 1, 1)))
+    repeated = ArthurShape((Summand("c", 1, 2), Summand("c", 1, 2)))
+    with pytest.raises(ValueError):
+        stable_coefficient(repeated, BlockSignVector((1, -1)))
+    not_self_dual = ArthurShape((Summand("c", 1, 2), Summand("d", 1, 1, False)))
+    with pytest.raises(ValueError):
+        stable_coefficient(not_self_dual, BlockSignVector((1, -1)))
+
+
+def test_derive_exponent_n40():
+    d = derive_exponent(40, 1, 1)
+    assert d.final == 1520
+    assert len(d.chain_exponents) == 26015
+    assert d.max_matches_dominant
+
+
+def test_derive_guard_refuses_before_enumerating():
+    with pytest.raises(GuardError):
+        derive_exponent(3000, 1, 1)
+    with pytest.raises(GuardError):
+        derive_exponent(12, 1, 1, guard=41)  # p(10) = 42 rows
+    assert len(derive_exponent(12, 1, 1, guard=42).chain_exponents) == 42
+
+
+def test_dominance_full_packet_ten_blocks():
+    shape = from_cohomological((2,) + (1,) * 9)
+    result = dominance_check(shape, trivial_packet(shape))
+    assert result.holds
+    assert result.i_value == 1  # only the trivial character survives the group sum
+    c_dom = stable_coefficient(shape, s_psi(shape))
+    assert result.c_psi == coefficient_sum(shape) / c_dom == 512

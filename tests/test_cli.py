@@ -1,6 +1,10 @@
 """End-to-end CLI behavior through main()."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -124,6 +128,30 @@ def test_chains_guard_exit_code(capsys, monkeypatch):
     code, _, err = run(capsys, "chains", "--shape", shape)
     assert code == 1
     assert "cap" in err
+
+
+def test_derive_guard_exit_code(capsys):
+    code, out, err = run(capsys, "derive", "--N", "3000", "--a", "1", "--k", "1")
+    assert code == 1
+    assert out == ""
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        err.strip()
+    ]
+
+
+def test_selftest_survives_optimized_interpreter():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "endoscopylab.cli", "selftest"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "8 passed, 0 failed" in proc.stdout
 
 
 def test_shape_file_argument(tmp_path, capsys):
