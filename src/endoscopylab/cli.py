@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import random
 import sys
 from dataclasses import dataclass
@@ -582,7 +583,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
-        return ns.func(ns, Config.from_namespace(ns))
+        code = ns.func(ns, Config.from_namespace(ns))
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (e.g. `| head`); send the rest of the
+        # output to devnull so the interpreter's final flush stays quiet too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except GuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -12,6 +12,23 @@ defining recursion of the stable distribution,
 
 with S multiplicative over product factors.  Both sides are modeled as exact
 formal combinations keyed by the terminal factored parameter.
+
+The kernel behind :func:`expand_stable`, :func:`chain_expansion` and
+:func:`dominant_contribution` works on bit masks: a block is a bit, a part is
+a submask, and a terminal set partition is a tuple of disjoint submasks.
+Every set partition occurs once, and its coefficient is the signed sum over
+the binary refinement trees whose leaves are its parts.  Each split in a
+tree is worth -iota, which depends only on the ranks of the two sides, so
+the sum depends only on the ranks of the parts; it is computed once per
+multiset of part ranks by a subset recursion over the parts, as an integer
+numerator over 4^(parts - 1).  The memo lives for one call, and a product
+assignment multiplies the per-factor coefficients.  The work is Bell(r)
+terms per factor, which the chain guard caps before anything runs.
+
+The independent oracle is the enumerated chain sum: :func:`enumerate_chains`
+builds every refinement forest from position-level plans (cached by block
+count only), and :func:`verify_inversion` sums them chain by chain, checks
+the recursion with that sum, and compares it with the kernel term by term.
 """
 
 from __future__ import annotations
@@ -19,7 +36,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from itertools import product
+from math import comb
+from operator import itemgetter
+from typing import Iterable, Mapping, Sequence, Union
 
 from .endoscopy import EndoscopicDatum, ParameterSplit, iota, make_split
 from .guards import DEFAULT_CHAIN_GUARD, GuardError, guard_limit
@@ -243,25 +263,21 @@ class FormalDist:
         return "FormalDist(" + " + ".join(parts) + ")"
 
 
-# A refinement plan for one factor: None is a leaf; otherwise the chosen split
-# (T, Tc) of its blocks plus plans for the two parts.
-_Plan = Union[
-    None, tuple[tuple[Summand, ...], tuple[Summand, ...], "_Plan", "_Plan"]
-]
-
-_PLAN_CACHE: dict[tuple[Summand, ...], tuple[_Plan, ...]] = {}
+# A refinement plan for one factor of r blocks, over block positions 0..r-1:
+# None is a leaf; otherwise the chosen split (T, Tc) of a part's positions
+# plus plans for the two parts.
+_Plan = Union[None, tuple[tuple[int, ...], tuple[int, ...], "_Plan", "_Plan"]]
 
 
-def _proper_splits(
-    summands: tuple[Summand, ...]
-) -> Iterator[tuple[tuple[Summand, ...], tuple[Summand, ...]]]:
-    """Unordered proper two-way splits; T always holds the leading block."""
-    rest = summands[1:]
-    n = len(rest)
-    for bits in range((1 << n) - 1):
-        T = (summands[0],) + tuple(s for i, s in enumerate(rest) if bits >> i & 1)
-        Tc = tuple(s for i, s in enumerate(rest) if not bits >> i & 1)
-        yield T, Tc
+@lru_cache(maxsize=None)
+def _proper_splits(k: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Unordered proper two-way splits of positions 0..k-1; T holds position 0."""
+    out = []
+    for bits in range((1 << max(k - 1, 0)) - 1):
+        T = (0,) + tuple(i for i in range(1, k) if bits >> (i - 1) & 1)
+        Tc = tuple(i for i in range(1, k) if not bits >> (i - 1) & 1)
+        out.append((T, Tc))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -272,46 +288,60 @@ def _plan_count(r: int) -> int:
     total = 1
     for j in range(1, r):
         # splits whose T has j blocks including the leading one
-        from math import comb
-
         total += comb(r - 1, j - 1) * _plan_count(j) * _plan_count(r - j)
     return total
 
 
-def _plans(summands: tuple[Summand, ...]) -> tuple[_Plan, ...]:
-    cached = _PLAN_CACHE.get(summands)
-    if cached is not None:
-        return cached
-    out: list[_Plan] = [None]
-    if len(summands) >= 2:
-        for T, Tc in _proper_splits(summands):
-            for plan_t in _plans(T):
-                for plan_c in _plans(Tc):
+@lru_cache(maxsize=None)
+def _plans(r: int) -> tuple[_Plan, ...]:
+    """Every refinement forest on one factor of r blocks, over positions 0..r-1."""
+    memo: dict[tuple[int, ...], tuple[_Plan, ...]] = {}
+
+    def plans_of(positions: tuple[int, ...]) -> tuple[_Plan, ...]:
+        cached = memo.get(positions)
+        if cached is not None:
+            return cached
+        out: list[_Plan] = [None]
+        for t, tc in _proper_splits(len(positions)):
+            T = tuple(positions[i] for i in t)
+            Tc = tuple(positions[i] for i in tc)
+            for plan_t in plans_of(T):
+                for plan_c in plans_of(Tc):
                     out.append((T, Tc, plan_t, plan_c))
-    result = tuple(out)
-    _PLAN_CACHE[summands] = result
-    return result
+        memo[positions] = result = tuple(out)
+        return result
+
+    return plans_of(tuple(range(r)))
 
 
 def _linearize(
-    assignment: tuple[ArthurShape, ...], plans: Sequence[_Plan]
+    assignment: tuple[ArthurShape, ...], plans: Sequence[_Plan], splits: dict
 ) -> tuple[ChainStep, ...]:
-    """Depth-first canonical step order; indices refer to the evolving list."""
-    work: list[tuple[tuple[Summand, ...], _Plan]] = [
-        (shape.summands, plan) for shape, plan in zip(assignment, plans)
-    ]
+    """Depth-first canonical step order; indices refer to the evolving list.
+
+    ``splits`` keeps, for one enumeration, the datum and split made at each
+    (factor, T, Tc) plan node and whether T came out as part1.
+    """
+    work: list[tuple[int, _Plan]] = list(enumerate(plans))
     steps: list[ChainStep] = []
 
     def expand(i: int) -> int:
-        summands, plan = work[i]
+        f, plan = work[i]
         if plan is None:
             return 1
         T, Tc, plan_t, plan_c = plan
-        split = make_split(T, Tc)
-        first, second = (plan_t, plan_c) if split.part1 == T else (plan_c, plan_t)
-        steps.append(ChainStep(i, split.datum, split))
-        work[i] = (split.part1, first)
-        work.insert(i + 1, (split.part2, second))
+        key = (f, T, Tc)
+        known = splits.get(key)
+        if known is None:
+            blocks = assignment[f].summands
+            lead = tuple(map(blocks.__getitem__, T))
+            split = make_split(lead, tuple(map(blocks.__getitem__, Tc)))
+            splits[key] = known = (split.datum, split, split.part1 == lead)
+        datum, split, lead_first = known
+        first, second = (plan_t, plan_c) if lead_first else (plan_c, plan_t)
+        steps.append(ChainStep(i, datum, split))
+        work[i] = (f, first)
+        work.insert(i + 1, (f, second))
         c1 = expand(i)
         c2 = expand(i + c1)
         return c1 + c2
@@ -378,14 +408,13 @@ def enumerate_chains(
             f"chain enumeration would produce {count} chains, above the cap {cap}"
         )
     chains: list[HyperChain] = []
+    splits: dict = {}
 
     def recurse(index: int, chosen: list[_Plan]) -> None:
         if index == len(factors):
-            chains.append(
-                HyperChain(factors, _linearize(factors, chosen))
-            )
+            chains.append(HyperChain(factors, _linearize(factors, chosen, splits)))
             return
-        for plan in _plans(factors[index].summands):
+        for plan in _plans(factors[index].r):
             chosen.append(plan)
             recurse(index + 1, chosen)
             chosen.pop()
@@ -402,17 +431,16 @@ def chain_iota(chain: HyperChain) -> Fraction:
     return value
 
 
-def chain_expansion(
-    start: GroupSymbol | None = None,
-    shape: ArthurShape | None = None,
-    assignment: Sequence[ArthurShape] | None = None,
-    *,
-    guard: int | None = None,
+def _chain_sum(
+    factors: tuple[ArthurShape, ...], guard: int | None
 ) -> FormalDist:
-    """Sum of iota(chain) * I^{terminal} over all chains of the assignment."""
-    chains = enumerate_chains(start, shape, assignment, guard=guard)
+    """Sum of iota(chain) * I^{terminal}, chain by chain over enumerate_chains.
+
+    This is the independent oracle that :func:`verify_inversion` holds the
+    kernel to; it costs one replay per refinement forest.
+    """
     terms: dict[FactorKey, Fraction] = {}
-    for chain in chains:
+    for chain in enumerate_chains(assignment=factors, guard=guard):
         key = canonical_factors(chain.terminal_factors())
         coeff = terms.get(key, Fraction(0)) + chain_iota(chain)
         if coeff:
@@ -424,37 +452,149 @@ def chain_expansion(
     return result
 
 
-_STABLE_CACHE: dict[tuple[Summand, ...], FormalDist] = {}
+def _bell(r: int) -> int:
+    """Number of set partitions of r blocks (Bell triangle)."""
+    row = [1]
+    for _ in range(r):
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+    return row[0]
 
 
-def _stable_of_shape(shape: ArthurShape) -> FormalDist:
-    """S for one factor via the recursion; a single block is its own I."""
-    key = shape.canonical().summands
-    cached = _STABLE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    dist = FormalDist.unit((shape,))
-    for T, Tc in _proper_splits(shape.summands):
-        split = make_split(T, Tc)
-        sub = _stable_of_shape(ArthurShape(split.part1)).tensor(
-            _stable_of_shape(ArthurShape(split.part2))
+def _picker(positions: tuple[int, ...]) -> itemgetter:
+    """Getter of the items at these positions, always as a tuple."""
+    if len(positions) == 1:
+        # a single index would give the bare item; a slice gives a 1-tuple
+        return itemgetter(slice(positions[0], positions[0] + 1))
+    return itemgetter(*positions)
+
+
+@lru_cache(maxsize=None)
+def _split_pickers(k: int) -> tuple[tuple[itemgetter, itemgetter], ...]:
+    """:func:`_proper_splits` of k positions as getters of the two sides."""
+    return tuple((_picker(T), _picker(Tc)) for T, Tc in _proper_splits(k))
+
+
+def _tree_sum(ranks: tuple[int, ...], memo: dict[tuple[int, ...], int]) -> int:
+    """Signed sum over refinement trees with leaves of the given sorted ranks.
+
+    Each tree with k leaves makes k - 1 splits, each worth -iota = -w/4 with
+    w = 1 on a rank tie and 2 otherwise; the sum is returned as an integer
+    numerator over 4^(k-1).  All trees share the sign (-1)^(k-1), so the sum
+    is never zero.  The value depends on the leaf ranks alone, which is why
+    the memo is keyed by them.
+    """
+    if len(ranks) == 1:
+        return 1
+    value = memo.get(ranks)
+    if value is None:
+        value = 0
+        total = sum(ranks)
+        for pick_lead, pick_other in _split_pickers(len(ranks)):
+            lead = pick_lead(ranks)
+            w = 1 if 2 * sum(lead) == total else 2
+            value -= w * _tree_sum(lead, memo) * _tree_sum(pick_other(ranks), memo)
+        memo[ranks] = value
+    return value
+
+
+def _factor_terms(
+    shape: ArthurShape, memo: dict[tuple[int, ...], int]
+) -> list[tuple[list[tuple[tuple, ArthurShape]], int, int]]:
+    """Every set partition of one factor's blocks with its coefficient.
+
+    A block is a bit of a mask and a part is a submask.  Each entry holds the
+    parts (canonical shape with its sort key), the integer numerator and the
+    exponent k - 1 of its denominator 4^(k-1).
+    """
+    blocks = shape.summands
+    full = (1 << len(blocks)) - 1
+    rank = [0] * (full + 1)
+    part: list = [None] * (full + 1)
+    for mask in range(1, full + 1):
+        low = mask & -mask
+        rank[mask] = rank[mask ^ low] + blocks[low.bit_length() - 1].block_dim
+        canon = ArthurShape(
+            tuple(sorted(b for i, b in enumerate(blocks) if mask >> i & 1))
         )
-        dist = dist - iota(split.datum) * sub
-    _STABLE_CACHE[key] = dist
-    return dist
+        part[mask] = (_factor_key(canon), canon)
+    out: list[tuple[list[tuple[tuple, ArthurShape]], int, int]] = []
+
+    def walk(rest: int, chosen: tuple[int, ...]) -> None:
+        if not rest:
+            ranks = tuple(sorted(rank[m] for m in chosen))
+            out.append(
+                ([part[m] for m in chosen], _tree_sum(ranks, memo), len(chosen) - 1)
+            )
+            return
+        low = rest & -rest
+        others = rest ^ low
+        sub = others
+        while True:
+            walk(others ^ sub, chosen + (low | sub,))
+            if not sub:
+                break
+            sub = (sub - 1) & others
+
+    walk(full, ())
+    return out
+
+
+def chain_expansion(
+    start: GroupSymbol | None = None,
+    shape: ArthurShape | None = None,
+    assignment: Sequence[ArthurShape] | None = None,
+    *,
+    guard: int | None = None,
+) -> FormalDist:
+    """Sum of iota(chain) * I^{terminal} over all chains of the assignment.
+
+    Grouped by root split: a refinement forest on one factor is either a leaf
+    or a root split with a forest on each part, so the chain sum obeys the
+    stable recursion and equals :func:`expand_stable`, which computes it.
+    """
+    return expand_stable(start, shape, assignment, guard=guard)
 
 
 def expand_stable(
     start: GroupSymbol | None = None,
     shape: ArthurShape | None = None,
     assignment: Sequence[ArthurShape] | None = None,
+    *,
+    guard: int | None = None,
 ) -> FormalDist:
-    """Fully resolve the stable distribution into I-symbols via the recursion."""
+    """Fully resolve the stable distribution into I-symbols via the recursion.
+
+    Raises GuardError before any work when the term count, one per set
+    partition of each factor's blocks, exceeds the cap.  The coefficient of
+    a set partition is the tree sum over its part ranks, and a product
+    assignment multiplies the per-factor coefficients.
+    """
     factors = _resolve_assignment(start, shape, assignment)
-    out = FormalDist({(): Fraction(1)})
+    cap = guard_limit(guard, DEFAULT_CHAIN_GUARD)
+    count = 1
     for f in factors:
-        out = out.tensor(_stable_of_shape(f))
-    return out
+        count *= _bell(f.r)
+    if count > cap:
+        raise GuardError(
+            f"stable expansion would produce {count} terms, above the cap {cap}"
+        )
+    memo: dict[tuple[int, ...], int] = {}
+    terms: dict[FactorKey, Fraction] = {}
+    for combo in product(*(_factor_terms(f, memo) for f in factors)):
+        parts: list[tuple[tuple, ArthurShape]] = []
+        num, splits = 1, 0
+        for factor_parts, factor_num, factor_splits in combo:
+            parts += factor_parts
+            num *= factor_num
+            splits += factor_splits
+        parts.sort(key=itemgetter(0))
+        terms[tuple(canon for _, canon in parts)] = Fraction(num, 4**splits)
+    result = FormalDist()
+    result._terms = terms
+    return result
 
 
 def verify_inversion(
@@ -466,29 +606,31 @@ def verify_inversion(
 ) -> bool:
     """Substitute the chain sum back into the recursion; exact identity check.
 
-    Also requires the chain sum and the recursive expansion to agree term by
-    term; for a product start the chain sum must equal the tensor product of
-    the per-factor chain sums.
+    The chain sum here is the enumerated one, chain by chain, and it must
+    agree term by term with the kernel of :func:`expand_stable`; for a
+    product start it must also equal the tensor product of the per-factor
+    chain sums.
     """
     factors = _resolve_assignment(start, shape, assignment)
-    cs = chain_expansion(assignment=factors, guard=guard)
-    if cs != expand_stable(assignment=factors):
+    cs = _chain_sum(factors, guard)
+    if cs != expand_stable(assignment=factors, guard=guard):
         return False
     if len(factors) == 1:
         shp = factors[0]
         residual = cs - FormalDist.unit((shp,))
-        for T, Tc in _proper_splits(shp.summands):
-            split = make_split(T, Tc)
-            sub = chain_expansion(
-                assignment=(ArthurShape(split.part1), ArthurShape(split.part2)),
-                guard=guard,
+        for T, Tc in _proper_splits(shp.r):
+            split = make_split(
+                tuple(shp.summands[i] for i in T), tuple(shp.summands[i] for i in Tc)
+            )
+            sub = _chain_sum(
+                (ArthurShape(split.part1), ArthurShape(split.part2)), guard
             )
             residual = residual + iota(split.datum) * sub
         return residual.is_zero
-    product = FormalDist({(): Fraction(1)})
+    product_dist = FormalDist({(): Fraction(1)})
     for f in factors:
-        product = product.tensor(chain_expansion(assignment=(f,), guard=guard))
-    return (cs - product).is_zero
+        product_dist = product_dist.tensor(_chain_sum((f,), guard))
+    return (cs - product_dist).is_zero
 
 
 def dominant_contribution(
@@ -498,14 +640,14 @@ def dominant_contribution(
 
     For a shape whose central sign is the identity this is the full stable
     expansion on the group itself; otherwise the blocks split by SL(2)
-    parity onto the dominant endoscopic product and the chains of that
-    product (componentwise, split held fixed) are summed with the leading
-    iota factor.
+    parity onto the dominant endoscopic product, which expands factor by
+    factor (split held fixed) under the leading iota factor.  Raises
+    GuardError when the Bell-number term count exceeds the cap.
     """
     if s_psi(shape).is_identity:
-        return expand_stable(shape=shape)
+        return expand_stable(shape=shape, guard=guard)
     datum, split = endoscopy.dominant_group(shape)
     if split.is_trivial:
         raise RuntimeError(f"nontrivial central sign of {shape} gave a trivial split")
     assignment = (split.shape1, split.shape2)
-    return iota(datum) * chain_expansion(assignment=assignment, guard=guard)
+    return iota(datum) * expand_stable(assignment=assignment, guard=guard)

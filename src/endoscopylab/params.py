@@ -249,22 +249,32 @@ def shape_to_json(shape: ArthurShape) -> dict:
     return {"summands": summands}
 
 
+def _json_int(entry: dict, key: str) -> int:
+    value = entry[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"summand field {key!r} must be an integer, got {value!r}")
+    return value
+
+
 def shape_from_json(data: dict | str) -> ArthurShape:
+    """Shape from its JSON object; every field must have its exact JSON type."""
     if isinstance(data, str):
         data = json.loads(data)
-    if not isinstance(data, dict) or "summands" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("summands"), list):
         raise ValueError('shape JSON must be an object with a "summands" list')
     summands = []
     for entry in data["summands"]:
+        if not isinstance(entry, dict):
+            raise ValueError(f"summand entry must be an object, got {entry!r}")
         try:
-            summands.append(
-                Summand(
-                    str(entry["label"]),
-                    int(entry["n"]),
-                    int(entry["m"]),
-                    bool(entry.get("self_dual", True)),
-                )
-            )
-        except (KeyError, TypeError) as exc:
+            label = entry["label"]
+            n, m = _json_int(entry, "n"), _json_int(entry, "m")
+        except KeyError as exc:
             raise ValueError(f"malformed summand entry: {entry!r}") from exc
+        self_dual = entry.get("self_dual", True)
+        if not isinstance(label, str):
+            raise ValueError(f"summand label must be a string, got {label!r}")
+        if not isinstance(self_dual, bool):
+            raise ValueError(f"summand self_dual must be a boolean, got {self_dual!r}")
+        summands.append(Summand(label, n, m, self_dual))
     return ArthurShape(tuple(summands))

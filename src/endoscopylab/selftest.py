@@ -43,8 +43,7 @@ from .endoscopy import (
     iota,
 )
 from .hyperendoscopy import (
-    FormalDist,
-    chain_expansion,
+    _chain_sum,
     expand_stable,
     verify_inversion,
 )
@@ -269,30 +268,58 @@ def check_dominance(seed: int = DEFAULT_SEED) -> CheckResult:
     )
 
 
+# A labelled shape with blocks of rank n > 1, and a product assignment with
+# rank ties inside and across its factors; both are elliptic.
+_LABELLED_SHAPE = ArthurShape(
+    (
+        Summand("a", 2, 1),
+        Summand("b", 1, 3),
+        Summand("c", 3, 1),
+        Summand("a", 1, 2),
+        Summand("d", 2, 2),
+    )
+)
+_PRODUCT_ASSIGNMENT = (
+    ArthurShape((Summand("a1", 1, 1), Summand("a2", 1, 2), Summand("a3", 2, 1))),
+    ArthurShape((Summand("b1", 1, 2), Summand("b2", 1, 1), Summand("b3", 1, 3))),
+)
+
+
 def check_inversion() -> CheckResult:
-    """Criterion 4: recursion == chain sum, dyadic, unit leading coefficient."""
-    cases = 0
-    for N in range(1, 7):
-        for parts in _partitions(N):
-            shape = from_cohomological(parts)
-            rec = expand_stable(shape=shape)
-            cs = chain_expansion(shape=shape)
-            if rec != cs:
-                return CheckResult("inversion", False, f"expansion mismatch at {parts}")
-            if not verify_inversion(shape=shape):
-                return CheckResult("inversion", False, f"inversion fails at {parts}")
-            for _, coeff in rec.items():
-                den = coeff.denominator
-                if den & (den - 1):
-                    return CheckResult(
-                        "inversion", False, f"non-dyadic coefficient {coeff} at {parts}"
-                    )
-            if rec.coefficient((shape,)) != 1:
+    """Criterion 4: kernel == enumerated chain sum, dyadic, unit leading coefficient.
+
+    Covers every U(N) shape with N <= 6, a labelled shape with n > 1 blocks
+    and a product assignment.
+    """
+    cases: list[tuple[str, tuple[ArthurShape, ...]]] = [
+        (str(parts), (from_cohomological(parts),))
+        for N in range(1, 7)
+        for parts in _partitions(N)
+    ]
+    cases.append((str(_LABELLED_SHAPE), (_LABELLED_SHAPE,)))
+    cases.append(
+        (" x ".join(str(f) for f in _PRODUCT_ASSIGNMENT), _PRODUCT_ASSIGNMENT)
+    )
+    for name, factors in cases:
+        rec = expand_stable(assignment=factors)
+        if rec != _chain_sum(factors, None):
+            return CheckResult("inversion", False, f"expansion mismatch at {name}")
+        if not verify_inversion(assignment=factors):
+            return CheckResult("inversion", False, f"inversion fails at {name}")
+        for _, coeff in rec.items():
+            den = coeff.denominator
+            if den & (den - 1):
                 return CheckResult(
-                    "inversion", False, f"leading coefficient != 1 at {parts}"
+                    "inversion", False, f"non-dyadic coefficient {coeff} at {name}"
                 )
-            cases += 1
-    return CheckResult("inversion", True, f"{cases} shapes, all U(N) with N<=6")
+        if rec.coefficient(factors) != 1:
+            return CheckResult("inversion", False, f"leading coefficient != 1 at {name}")
+    return CheckResult(
+        "inversion",
+        True,
+        f"{len(cases)} cases: all U(N) shapes with N<=6, a labelled shape "
+        "and a product assignment, kernel equal to the enumerated chain sum",
+    )
 
 
 def check_exponent_pipeline() -> CheckResult:

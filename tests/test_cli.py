@@ -130,6 +130,61 @@ def test_chains_guard_exit_code(capsys, monkeypatch):
     assert "cap" in err
 
 
+def test_chains_dominant_guard_on_ten_blocks(capsys):
+    shape = json.dumps(
+        {"summands": [{"label": f"c{i}", "n": 1, "m": 1} for i in range(1, 11)]}
+    )
+    code, out, err = run(capsys, "chains", "--shape", shape, "--dominant")
+    assert code == 1
+    assert out == ""
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        err.strip()
+    ]
+    assert "115975 terms" in err
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        '{"summands": 5}',
+        '{"summands": [5]}',
+        '{"summands": [{"label": 7, "n": 1, "m": 1}]}',
+        '{"summands": [{"label": "a", "n": 1.9, "m": 1}]}',
+        '{"summands": [{"label": "a", "n": 1, "m": true}]}',
+        '{"summands": [{"label": "a", "n": 1, "m": 1, "self_dual": "false"}]}',
+    ],
+)
+def test_malformed_shape_json_is_usage_error(capsys, shape):
+    code, out, err = run(capsys, "endoscopy", "--N", "1", "--shape", shape)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+def test_closed_stdout_exits_quietly():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    shape = json.dumps(
+        {"summands": [{"label": f"c{i}", "n": 1, "m": i} for i in range(1, 6)]}
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "endoscopylab.cli", "chains", "--shape", shape,
+         "--format", "json"],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()  # the reader is gone before the first write
+    try:
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    finally:
+        proc.stderr.close()
+    assert code == 0
+    assert err == b""
+
+
 def test_derive_guard_exit_code(capsys):
     code, out, err = run(capsys, "derive", "--N", "3000", "--a", "1", "--k", "1")
     assert code == 1

@@ -1,6 +1,7 @@
 """Refinement chains, formal distributions, and the inversion identity."""
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -8,6 +9,7 @@ from endoscopylab.guards import GuardError
 from endoscopylab.hyperendoscopy import (
     FormalDist,
     GroupSymbol,
+    _chain_sum,
     _plan_count,
     chain_expansion,
     chain_iota,
@@ -17,6 +19,8 @@ from endoscopylab.hyperendoscopy import (
     verify_inversion,
 )
 from endoscopylab.params import ArthurShape, Summand, from_cohomological
+from endoscopylab.selftest import _LABELLED_SHAPE as LABELLED
+from endoscopylab.selftest import _PRODUCT_ASSIGNMENT as PRODUCT
 
 
 def shapes_of(*parts_list):
@@ -166,3 +170,57 @@ def test_terminal_factors_replay():
     terminals = deepest.terminal_factors()
     assert sorted(f.N for f in terminals) == [1, 1, 1]
     assert deepest.start == GroupSymbol((3,))
+
+
+# every cohomological shape with parts <= 3 and r <= 6, parts non-increasing
+SMALL_PARTS = [
+    parts
+    for r in range(1, 7)
+    for parts in combinations_with_replacement((3, 2, 1), r)
+]
+
+
+@pytest.mark.parametrize("parts", SMALL_PARTS, ids=str)
+def test_kernel_equals_enumerated_chain_sum(parts):
+    shape = from_cohomological(parts)
+    oracle = _chain_sum((shape,), None)
+    assert expand_stable(shape=shape) == oracle
+    assert chain_expansion(shape=shape) == oracle
+
+
+def test_kernel_equals_chain_sum_on_labelled_and_product():
+    assert expand_stable(shape=LABELLED) == _chain_sum((LABELLED,), None)
+    assert expand_stable(assignment=PRODUCT) == _chain_sum(PRODUCT, None)
+    assert verify_inversion(shape=LABELLED)
+    assert verify_inversion(assignment=PRODUCT)
+
+
+def test_dominant_contribution_splits_labelled_shape():
+    # even m: a*nu(2), d[2]*nu(2); odd m: a[2], b*nu(3), c[3]
+    evens = ArthurShape((Summand("a", 1, 2), Summand("d", 2, 2)))
+    odds = ArthurShape((Summand("a", 2, 1), Summand("b", 1, 3), Summand("c", 3, 1)))
+    # ranks 6 against 8: iota = 1/2
+    expected = Fraction(1, 2) * _chain_sum((evens, odds), None)
+    assert dominant_contribution(LABELLED) == expected
+
+
+def test_expand_stable_nine_blocks():
+    assert len(expand_stable(shape=from_cohomological(tuple(range(1, 10))))) == 21147
+
+
+def test_stable_expansion_guard_counts_terms():
+    ten = from_cohomological((1,) * 10)  # Bell(10) = 115975 terms
+    with pytest.raises(GuardError, match="115975 terms"):
+        expand_stable(shape=ten)
+    with pytest.raises(GuardError):
+        chain_expansion(shape=ten)
+    with pytest.raises(GuardError):
+        dominant_contribution(ten)
+    three = from_cohomological((1, 1, 1))  # Bell(3) = 5 terms
+    with pytest.raises(GuardError):
+        expand_stable(shape=three, guard=4)
+    assert len(expand_stable(shape=three, guard=5)) == 5
+    mixed = from_cohomological((2, 1, 1, 1))  # Bell(1) * Bell(3) terms
+    with pytest.raises(GuardError):
+        dominant_contribution(mixed, guard=4)
+    assert len(dominant_contribution(mixed, guard=5)) == 5

@@ -150,3 +150,32 @@ def test_shape_json_rejects_garbage():
         shape_from_json({"blocks": []})
     with pytest.raises(ValueError):
         shape_from_json({"summands": [{"label": "a", "n": 0, "m": 1}]})
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"summands": 5},
+        {"summands": "ab"},
+        {"summands": [5]},
+        {"summands": [["a", 1, 1]]},
+        {"summands": [{"label": 7, "n": 1, "m": 1}]},
+        {"summands": [{"label": "a", "n": 1.9, "m": 1}]},
+        {"summands": [{"label": "a", "n": "1", "m": 1}]},
+        {"summands": [{"label": "a", "n": True, "m": 1}]},
+        {"summands": [{"label": "a", "n": 1, "m": True}]},
+        {"summands": [{"label": "a", "n": 1, "m": 1, "self_dual": "false"}]},
+        {"summands": [{"label": "a", "n": 1, "m": 1, "self_dual": 0}]},
+        {"summands": [{"label": "a", "m": 1}]},
+    ],
+)
+def test_shape_json_rejects_wrong_types(data):
+    with pytest.raises(ValueError):
+        shape_from_json(data)
+    with pytest.raises(ValueError):
+        shape_from_json(json.dumps(data))
+
+
+def test_shape_json_reads_explicit_self_dual():
+    data = {"summands": [{"label": "a", "n": 1, "m": 1, "self_dual": False}]}
+    assert shape_from_json(data).summands[0].self_dual is False
