@@ -20,6 +20,7 @@ from typing import Sequence
 from .bounds import PacketModel, derive_exponent, dominance_check
 from .cohomology import (
     Bipartition,
+    PoincarePoly,
     bipartition_from_json,
     bipartition_to_json,
     degree_R,
@@ -291,11 +292,10 @@ def _parse_partition(text: str) -> tuple[int, ...]:
     return parts
 
 
-def _member_json(B: Bipartition) -> dict:
-    poly = poincare_poly(B)
+def _member_json(B: Bipartition, R: int, poly: PoincarePoly) -> dict:
     return {
         **bipartition_to_json(B),
-        "R": degree_R(B),
+        "R": R,
         "poincare": list(poly.coeffs),
         "reduced": B.is_reduced,
     }
@@ -303,47 +303,51 @@ def _member_json(B: Bipartition) -> dict:
 
 def _cmd_packet(ns: argparse.Namespace, cfg: Config) -> int:
     parts = _parse_partition(ns.P)
-    members = packet_of(parts, ns.a, ns.b)
+    members = packet_of(parts, ns.a, ns.b, guard=cfg.chain_guard)
+    lines = [
+        f"packet of P={list(parts)} on U({ns.a},{ns.b}): {len(members)} members"
+    ]
+    rows: list[Sequence] = [("pairs", "R", "poincare", "reduced")]
+    member_json = []
+    for B in members:
+        R, poly = degree_R(B), poincare_poly(B)
+        name, text = str(B), str(poly)
+        member_json.append(_member_json(B, R, poly))
+        lines.append(f"  {name}  R={R}  P(t) = {text}")
+        rows.append((name, R, text, B.is_reduced))
     payload = {
         "schema_version": SCHEMA_VERSION,
         "a": ns.a,
         "b": ns.b,
         "P": list(parts),
         "size": len(members),
-        "members": [_member_json(B) for B in members],
+        "members": member_json,
     }
-    lines = [
-        f"packet of P={list(parts)} on U({ns.a},{ns.b}): {len(members)} members"
-    ]
-    rows: list[Sequence] = [("pairs", "R", "poincare", "reduced")]
-    for B in members:
-        poly = poincare_poly(B)
-        lines.append(f"  {B}  R={degree_R(B)}  P(t) = {poly}")
-        rows.append((str(B), degree_R(B), str(poly), B.is_reduced))
     _emit(cfg.format, payload, lines, rows)
     return 0
 
 
 def _cmd_poincare(ns: argparse.Namespace, cfg: Config) -> int:
     B = _bipartition_arg(ns.bipartition)
-    poly = poincare_poly(B)
+    R, poly = degree_R(B), poincare_poly(B)
+    palindromic = poly.is_palindromic()
     payload = {
         "schema_version": SCHEMA_VERSION,
-        **_member_json(B),
+        **_member_json(B, R, poly),
         "a": B.a,
         "b": B.b,
         "degree": poly.degree,
-        "palindromic": poly.is_palindromic(),
+        "palindromic": palindromic,
     }
     lines = [
         f"B = {B} on U({B.a},{B.b})",
-        f"R = {degree_R(B)}",
+        f"R = {R}",
         f"P(t) = {poly}",
-        f"palindromic: {'yes' if poly.is_palindromic() else 'no'}",
+        f"palindromic: {'yes' if palindromic else 'no'}",
     ]
     rows = [
         ("pairs", "R", "poincare", "palindromic"),
-        (str(B), degree_R(B), str(poly), poly.is_palindromic()),
+        (str(B), R, str(poly), palindromic),
     ]
     _emit(cfg.format, payload, lines, rows)
     return 0

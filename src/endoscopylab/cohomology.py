@@ -4,9 +4,18 @@ A bipartition B = ((a_1, b_1), ..., (a_r, b_r)) with sum a_i = a, sum b_i = b
 indexes a cohomological representation of U(a, b).  Its cohomology starts in
 degree R = ab - sum(a_i b_i) and the Poincare polynomial is t^R times the
 product of Gaussian binomials [a_i + b_i choose a_i] evaluated at t^2, i.e.
-the cohomology of a product of complex Grassmannians shifted by R.  The brute
-oracle recomputes each factor by counting partitions in an a_i x b_i box by
-area instead of using the recurrence.
+the cohomology of a product of complex Grassmannians shifted by R.
+
+:func:`poincare_poly` works over q = t^2 in plain ``int`` lists: one pass
+over the pairs sums a, b and sum(a_i b_i), skips the one-sided pairs (their
+factor is 1), convolves the cached Gaussian binomials of the mixed pairs, and
+writes the product into every other coefficient from degree R on.  Only the
+result is a :class:`PoincarePoly`.  The oracle :func:`brute_poincare` shares
+none of that code: it counts the partitions in each a_i x b_i box by area
+(the Schubert cells) and multiplies :class:`PoincarePoly` objects, so the two
+are independent computations of the same polynomial.
+
+Packet enumeration counts its members first and refuses above the chain cap.
 """
 
 from __future__ import annotations
@@ -15,9 +24,10 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
-from .guards import DEFAULT_BRUTE_GUARD, GuardError, guard_limit
+from .guards import DEFAULT_BRUTE_GUARD, DEFAULT_CHAIN_GUARD, GuardError, guard_limit
 
 __all__ = [
     "OrderedPartition",
@@ -36,6 +46,11 @@ __all__ = [
 ]
 
 
+def _exact_ints(values: Iterable) -> bool:
+    """Every value is a plain ``int``: no bool, float, string or int subclass."""
+    return {int}.issuperset(map(type, values))
+
+
 @dataclass(frozen=True)
 class OrderedPartition:
     """Ordered tuple of positive parts."""
@@ -46,7 +61,7 @@ class OrderedPartition:
         object.__setattr__(self, "parts", tuple(self.parts))
         if not self.parts:
             raise ValueError("empty partition")
-        if any(not isinstance(p, int) or p < 1 for p in self.parts):
+        if not _exact_ints(self.parts) or any(p < 1 for p in self.parts):
             raise ValueError(f"parts must be positive integers, got {self.parts}")
 
     @property
@@ -64,10 +79,12 @@ class Bipartition:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        pairs = tuple((int(x), int(y)) for x, y in self.pairs)
+        pairs = tuple((x, y) for x, y in self.pairs)
         object.__setattr__(self, "pairs", pairs)
         if not pairs:
             raise ValueError("a bipartition needs at least one pair")
+        if not _exact_ints(chain.from_iterable(pairs)):
+            raise ValueError(f"pair entries must be integers, got {pairs!r}")
         for x, y in pairs:
             if x < 0 or y < 0:
                 raise ValueError(f"negative entry in pair ({x}, {y})")
@@ -119,10 +136,13 @@ class PoincarePoly:
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        coeffs = tuple(int(c) for c in self.coeffs)
-        while coeffs and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        object.__setattr__(self, "coeffs", coeffs)
+        coeffs = tuple(self.coeffs)
+        if not _exact_ints(coeffs):
+            raise ValueError(f"coefficients must be integers, got {coeffs!r}")
+        n = len(coeffs)
+        while n and coeffs[n - 1] == 0:
+            n -= 1
+        object.__setattr__(self, "coeffs", coeffs[:n])
 
     @classmethod
     def zero(cls) -> "PoincarePoly":
@@ -232,25 +252,38 @@ def _coerce_partition(P: OrderedPartition | Sequence[int]) -> tuple[int, ...]:
 
 
 def enumerate_bipartitions(
-    a: int, b: int, P: OrderedPartition | Sequence[int] | None = None
+    a: int,
+    b: int,
+    P: OrderedPartition | Sequence[int] | None = None,
+    *,
+    guard: int | None = None,
 ) -> list[Bipartition]:
     """Bipartitions of (a, b): all compatible with P, or all reduced ones.
 
     With P given, members have a_i + b_i = N_i in order and sum a_i = a; the
     first coordinates run in decreasing lexicographic order.  Without P the
-    result is every reduced bipartition of (a, b).
+    result is every reduced bipartition of (a, b).  The members are counted
+    first; above the chain cap (``guard``, else ENDOSCOPYLAB_GUARD, else the
+    default) the call raises :class:`GuardError` before building any.
     """
     if a < 0 or b < 0:
         raise ValueError(f"signature entries must be nonnegative, got ({a}, {b})")
     if a + b < 1:
         raise ValueError("a + b must be positive")
     if P is None:
+        size = _reduced_count(a, b)
+    else:
+        parts = _coerce_partition(P)
+        if sum(parts) != a + b:
+            raise ValueError(
+                f"partition {parts} has size {sum(parts)}, cannot fill ({a}, {b})"
+            )
+        size = _packet_count(parts, a)
+    cap = guard_limit(guard, DEFAULT_CHAIN_GUARD)
+    if size > cap:
+        raise GuardError(f"the packet would hold {size} members, above the cap {cap}")
+    if P is None:
         return [Bipartition(p) for p in _reduced_sequences(a, b)]
-    parts = _coerce_partition(P)
-    if sum(parts) != a + b:
-        raise ValueError(
-            f"partition {parts} has size {sum(parts)}, cannot fill ({a}, {b})"
-        )
     suffix_totals = [0] * (len(parts) + 1)
     for i in range(len(parts) - 1, -1, -1):
         suffix_totals[i] = suffix_totals[i + 1] + parts[i]
@@ -271,6 +304,43 @@ def enumerate_bipartitions(
 
     assign(0, a, [])
     return out
+
+
+def _packet_count(parts: tuple[int, ...], a: int) -> int:
+    """Number of (a_i) with 0 <= a_i <= N_i and sum a_i = a, in O(r * a)."""
+    ways = [1] + [0] * a
+    for n in parts:
+        # Each new entry sums ways[s - n .. s], kept as a sliding window.
+        window = 0
+        nxt = [0] * (a + 1)
+        for s in range(a + 1):
+            window += ways[s]
+            if s > n:
+                window -= ways[s - n - 1]
+            nxt[s] = window
+        ways = nxt
+    return ways[a]
+
+
+def _reduced_count(a: int, b: int) -> int:
+    """Number of reduced bipartitions of (a, b), in O(a * b).
+
+    By the last pair, (1, 0), (0, 1) or a mixed (x, y):
+    c(i, j) = c(i-1, j) + c(i, j-1) + sum of c(i', j') over i' < i, j' < j.
+    """
+    count = [[0] * (b + 1) for _ in range(a + 1)]
+    # below[i][j] = sum of count[i'][j'] over i' < i, j' < j
+    below = [[0] * (b + 2) for _ in range(a + 2)]
+    for i in range(a + 1):
+        for j in range(b + 1):
+            c = below[i][j] if i or j else 1
+            if i:
+                c += count[i - 1][j]
+            if j:
+                c += count[i][j - 1]
+            count[i][j] = c
+            below[i + 1][j + 1] = below[i][j + 1] + below[i + 1][j] - below[i][j] + c
+    return count[a][b]
 
 
 def _reduced_sequences(a: int, b: int) -> Iterator[tuple[tuple[int, int], ...]]:
@@ -322,11 +392,28 @@ def gaussian_binomial(n: int, k: int) -> PoincarePoly:
 
 
 def poincare_poly(B: Bipartition) -> PoincarePoly:
-    """t^R times the product over pairs of [a_i + b_i choose a_i] at t^2."""
-    poly = PoincarePoly.one()
+    """t^R times the product over pairs of [a_i + b_i choose a_i] at t^2.
+
+    The product is taken over q = t^2 as an int list; a one-sided pair
+    contributes the factor 1 and is skipped.
+    """
+    a = b = cross = 0
+    q = [1]
     for x, y in B.pairs:
-        poly = poly * gaussian_binomial(x + y, x).stretch(2)
-    return poly.shift(degree_R(B))
+        a += x
+        b += y
+        if x and y:
+            cross += x * y
+            factor = gaussian_binomial(x + y, x).coeffs
+            out = [0] * (len(q) + len(factor) - 1)
+            for i, c in enumerate(q):
+                for j, d in enumerate(factor, i):
+                    out[j] += c * d
+            q = out
+    R = a * b - cross
+    coeffs = [0] * (R + 2 * len(q) - 1)
+    coeffs[R::2] = q
+    return PoincarePoly(tuple(coeffs))
 
 
 def _box_partition_counts(rows: int, cols: int) -> list[int]:
@@ -364,10 +451,10 @@ def brute_poincare(B: Bipartition, *, guard: int | None = None) -> PoincarePoly:
 
 
 def packet_of(
-    P: OrderedPartition | Sequence[int], a: int, b: int
+    P: OrderedPartition | Sequence[int], a: int, b: int, *, guard: int | None = None
 ) -> list[Bipartition]:
-    """All members of the packet attached to P on U(a, b)."""
-    return enumerate_bipartitions(a, b, P)
+    """All members of the packet attached to P on U(a, b), under the chain cap."""
+    return enumerate_bipartitions(a, b, P, guard=guard)
 
 
 def duplicate_of(B: Bipartition) -> Bipartition | None:
@@ -387,7 +474,7 @@ def bipartition_from_json(data: dict | str | Sequence) -> Bipartition:
             raise ValueError('bipartition JSON must carry a "pairs" list')
         data = data["pairs"]
     try:
-        pairs = tuple((int(x), int(y)) for x, y in data)
+        pairs = tuple((x, y) for x, y in data)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed bipartition data: {data!r}") from exc
     return Bipartition(pairs)

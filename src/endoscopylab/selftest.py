@@ -11,7 +11,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 from typing import Callable, Iterator
 
 from .bounds import (
@@ -63,6 +63,7 @@ __all__ = [
     "DEFAULT_SEED",
     "brute_coefficients",
     "brute_i_disc",
+    "packet_members",
 ]
 
 DEFAULT_SEED = 1729
@@ -75,22 +76,22 @@ class CheckResult:
     detail: str
 
 
-def _all_bipartitions(a: int, b: int) -> Iterator[Bipartition]:
-    """Every ordered sequence of nonzero pairs summing to (a, b), reduced or not."""
+def _compositions(n: int) -> Iterator[tuple[int, ...]]:
+    """Every ordered tuple of positive parts summing to n."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(1, n + 1):
+        for rest in _compositions(n - first):
+            yield (first,) + rest
 
-    def walk(ra: int, rb: int) -> Iterator[tuple[tuple[int, int], ...]]:
-        if ra == 0 and rb == 0:
-            yield ()
-            return
-        for x in range(ra + 1):
-            for y in range(rb + 1):
-                if x + y == 0:
-                    continue
-                for rest in walk(ra - x, rb - y):
-                    yield ((x, y),) + rest
 
-    for pairs in walk(a, b):
-        yield Bipartition(pairs)
+def packet_members(max_N: int) -> Iterator[Bipartition]:
+    """Every member of every packet over the compositions of N <= max_N, every a."""
+    for N in range(1, max_N + 1):
+        for P in _compositions(N):
+            for a in range(N + 1):
+                yield from packet_of(P, a, N - a)
 
 
 def _random_bipartition(rng: random.Random, max_total: int) -> Bipartition:
@@ -111,25 +112,19 @@ def _random_bipartition(rng: random.Random, max_total: int) -> Bipartition:
 
 
 def check_poincare_oracle(seed: int = DEFAULT_SEED) -> CheckResult:
-    """Criterion 1: recurrence polynomial == brute cell count, exhaustive + random."""
+    """Criterion 1: the q = t^2 kernel == brute cell count, exhaustive + random."""
     cases = 0
-    for total in range(1, 6):
-        for a in range(total + 1):
-            b = total - a
-            for B in _all_bipartitions(a, b):
-                if poincare_poly(B) != brute_poincare(B):
-                    return CheckResult(
-                        "poincare_oracle", False, f"mismatch at {B}"
-                    )
-                cases += 1
     rng = random.Random(seed)
-    for _ in range(50):
-        B = _random_bipartition(rng, 8)
+    randoms = [_random_bipartition(rng, 8) for _ in range(50)]
+    for B in chain(packet_members(6), randoms):
         if poincare_poly(B) != brute_poincare(B):
             return CheckResult("poincare_oracle", False, f"mismatch at {B}")
         cases += 1
     return CheckResult(
-        "poincare_oracle", True, f"{cases} cases (exhaustive a+b<=5 + 50 random)"
+        "poincare_oracle",
+        True,
+        f"{cases} cases (every packet member over compositions with N<=6, "
+        "every a, + 50 random)",
     )
 
 

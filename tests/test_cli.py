@@ -54,6 +54,51 @@ def test_packet_json_agrees_with_table(capsys):
     assert member["poincare"] == [1, 0, 1]
 
 
+GOLDEN = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "case", GOLDEN, ids=lambda c: " ".join(c["argv"][:1] + c["argv"][-1:])
+)
+def test_packet_and_poincare_stdout_is_golden(capsys, case):
+    code, out, err = run(capsys, *case["argv"])
+    assert (code, err) == (0, "")
+    assert out == case["stdout"]
+
+
+def test_packet_guard_exit_code(capsys):
+    ones = ",".join(["1"] * 60)
+    code, out, err = run(capsys, "packet", "--a", "30", "--b", "30", "--P", ones)
+    assert code == 1
+    assert out == ""
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: the packet would hold 118264581564861424 members, above the cap 100000"
+    ]
+    assert len(err.splitlines()) == 1
+
+
+def test_packet_guard_env_override(capsys, monkeypatch):
+    monkeypatch.setenv("ENDOSCOPYLAB_GUARD", "9")
+    code, _, err = run(capsys, "packet", "--a", "2", "--b", "3", "--P", "1,1,1,1,1")
+    assert code == 1
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    monkeypatch.setenv("ENDOSCOPYLAB_GUARD", "10")
+    code, _, _ = run(capsys, "packet", "--a", "2", "--b", "3", "--P", "1,1,1,1,1")
+    assert code == 0
+
+
+@pytest.mark.parametrize(
+    "bipartition",
+    ['[[1.7,0],[true,1]]', '[[true,1]]', '[["1",0]]', '{"pairs": [[1,0.0]]}'],
+)
+@pytest.mark.parametrize("command", ["poincare", "decay"])
+def test_non_int_bipartition_is_usage_error(capsys, command, bipartition):
+    code, out, err = run(capsys, command, "--bipartition", bipartition)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
 def test_derive_json(capsys):
     code, out, _ = run(capsys, "derive", "--N", "5", "--a", "1", "--k", "2", "--json")
     assert code == 0

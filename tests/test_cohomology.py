@@ -10,6 +10,8 @@ from endoscopylab.cohomology import (
     Bipartition,
     OrderedPartition,
     PoincarePoly,
+    _packet_count,
+    _reduced_count,
     bipartition_from_json,
     bipartition_to_json,
     brute_poincare,
@@ -22,6 +24,7 @@ from endoscopylab.cohomology import (
     poincare_poly,
 )
 from endoscopylab.guards import GuardError
+from endoscopylab.selftest import packet_members
 
 
 def bp(*pairs):
@@ -174,3 +177,77 @@ def test_bipartition_json_accepts_bare_list():
     assert bipartition_from_json([[2, 1], [0, 1]]) == bp((2, 1), (0, 1))
     with pytest.raises(ValueError):
         bipartition_from_json({"rows": []})
+
+
+def test_kernel_matches_brute_on_every_packet_member():
+    cases = 0
+    for B in packet_members(7):
+        assert poincare_poly(B) == brute_poincare(B), B
+        cases += 1
+    assert cases == 4615
+
+
+@pytest.mark.parametrize(
+    "parts,a,size", [((1,) * 16, 7, 11440), ((5, 4, 4, 3, 2, 2), 10, 674)]
+)
+def test_kernel_invariants_on_deck_packet(parts, a, size):
+    members = packet_of(parts, a, sum(parts) - a)
+    assert len(members) == size
+    for B in members:
+        poly = poincare_poly(B)
+        assert poly(1) == math.prod(math.comb(x + y, x) for x, y in B.pairs)
+        assert poly.low_degree == degree_R(B)
+        assert poly.is_palindromic()
+
+
+def test_packet_counts_match_enumeration():
+    for N in range(1, 8):
+        for a in range(N + 1):
+            assert _reduced_count(a, N - a) == len(enumerate_bipartitions(a, N - a))
+    sizes: dict = {}
+    for B in packet_members(7):
+        key = (B.partition.parts, B.a)
+        sizes[key] = sizes.get(key, 0) + 1
+    for (parts, a), size in sizes.items():
+        assert _packet_count(parts, a) == size
+
+
+def test_packet_guard():
+    with pytest.raises(GuardError, match="155117520 members"):
+        packet_of((1,) * 30, 15, 15)
+    with pytest.raises(GuardError):
+        packet_of((1,) * 5, 2, 3, guard=9)
+    assert len(packet_of((1,) * 5, 2, 3, guard=10)) == 10
+    with pytest.raises(GuardError):
+        enumerate_bipartitions(3, 3, guard=100)
+    assert len(enumerate_bipartitions(3, 3, guard=1000)) == len(
+        enumerate_bipartitions(3, 3)
+    )
+
+
+def test_packet_guard_reads_env(monkeypatch):
+    monkeypatch.setenv("ENDOSCOPYLAB_GUARD", "9")
+    with pytest.raises(GuardError):
+        packet_of((1,) * 5, 2, 3)
+    assert len(packet_of((1,) * 5, 2, 3, guard=10)) == 10
+
+
+@pytest.mark.parametrize(
+    "pairs", [((1.7, 0),), ((True, 1),), (("1", 0),), ((1, 0), (0, 2.0))]
+)
+def test_bipartition_rejects_non_int_entries(pairs):
+    with pytest.raises(ValueError, match="integers"):
+        Bipartition(pairs)
+    with pytest.raises(ValueError):
+        bipartition_from_json([list(p) for p in pairs])
+
+
+@pytest.mark.parametrize("coeffs", [(1.7, True), (True,), (1, "1"), (1, 2.0)])
+def test_poly_rejects_non_int_coefficients(coeffs):
+    with pytest.raises(ValueError, match="integers"):
+        PoincarePoly(coeffs)
+
+
+def test_partition_rejects_bool_parts():
+    with pytest.raises(ValueError):
+        OrderedPartition((True, 2))
