@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .cohomology import lowest_degree
-from .endoscopy import EndoscopicDatum, dominant_group, iota
+from .endoscopy import EndoscopicDatum, _guarded_sign_group, dominant_group, iota
 from .guards import DEFAULT_CHAIN_GUARD, GuardError, guard_limit
 from .hyperendoscopy import GroupSymbol
 from .params import (
@@ -159,13 +159,17 @@ class DominanceResult(NamedTuple):
     holds: bool
 
 
-def dominance_check(shape: ArthurShape, packet: PacketModel) -> DominanceResult:
+def dominance_check(
+    shape: ArthurShape, packet: PacketModel, *, guard: int | None = None
+) -> DominanceResult:
     """I against C(psi) times the dominant stable term; exact comparison.
 
     At s = s_psi the twist is trivial (all signs +1), so the dominant term
     is the plain trace sum; every other term is bounded by it when traces
-    are nonnegative.
+    are nonnegative.  The trace runs over a 2^(r-1)-entry coefficient table,
+    which is counted first and refused above the chain cap.
     """
+    _guarded_sign_group(shape, guard)
     i_value = i_disc_model(shape, packet)
     c_dom = stable_coefficient(shape, s_psi(shape))
     s_dominant = c_dom * packet.trace_total

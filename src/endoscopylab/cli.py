@@ -29,6 +29,7 @@ from .cohomology import (
 )
 from .decay import p_bound_of_bipartition, ratio_profile, sx_check
 from .endoscopy import (
+    _guarded_sign_group,
     bijection,
     datum_to_json,
     dominant_group,
@@ -174,7 +175,7 @@ def _cmd_endoscopy(ns: argparse.Namespace, cfg: Config) -> int:
         shape = _shape_arg(ns.shape)
         if shape.N != ns.N:
             raise ValueError(f"shape has N={shape.N}, but --N {ns.N} was given")
-        table = bijection(shape)
+        table = bijection(shape, guard=cfg.chain_guard)
         center = s_psi(shape)
         payload["shape"] = shape_to_json(shape)
         payload["s_psi"] = str(center)
@@ -449,6 +450,8 @@ def _cmd_dominance(ns: argparse.Namespace, cfg: Config) -> int:
     if ns.trials < 1:
         raise ValueError(f"--trials must be positive, got {ns.trials}")
     shape = _shape_arg(ns.shape)
+    # each random packet lists all 2^(r-1) characters, so refuse before building one
+    _guarded_sign_group(shape, cfg.chain_guard)
     rng = random.Random(cfg.seed)
     violations = 0
     min_margin: Fraction | None = None
@@ -490,12 +493,30 @@ def _cmd_dominance(ns: argparse.Namespace, cfg: Config) -> int:
 
 def _cmd_selftest(ns: argparse.Namespace, cfg: Config) -> int:
     results = run_all(cfg.seed)
-    for result in results:
-        status = "PASS" if result.passed else "FAIL"
-        print(f"{status}: {result.name} ({result.detail})")
     passed = sum(1 for r in results if r.passed)
     failed = len(results) - passed
-    print(f"{passed} passed, {failed} failed")
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "seed": cfg.seed,
+        "checks": [
+            {
+                "name": r.name,
+                "passed": r.passed,
+                "detail": r.detail,
+                "elapsed_s": r.elapsed_s,
+            }
+            for r in results
+        ],
+        "passed": passed,
+        "failed": failed,
+    }
+    lines = [
+        f"{'PASS' if r.passed else 'FAIL'}: {r.name} ({r.detail})" for r in results
+    ]
+    lines.append(f"{passed} passed, {failed} failed")
+    rows: list[Sequence] = [("name", "passed", "detail", "elapsed_s")]
+    rows.extend((r.name, r.passed, r.detail, r.elapsed_s) for r in results)
+    _emit(cfg.format, payload, lines, rows)
     return 0 if failed == 0 else 1
 
 
@@ -572,6 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run the acceptance checks")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    _add_format(p)
     p.set_defaults(func=_cmd_selftest)
 
     return parser

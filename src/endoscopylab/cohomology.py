@@ -11,11 +11,16 @@ over the pairs sums a, b and sum(a_i b_i), skips the one-sided pairs (their
 factor is 1), convolves the cached Gaussian binomials of the mixed pairs, and
 writes the product into every other coefficient from degree R on.  Only the
 result is a :class:`PoincarePoly`.  The oracle :func:`brute_poincare` shares
-none of that code: it counts the partitions in each a_i x b_i box by area
-(the Schubert cells) and multiplies :class:`PoincarePoly` objects, so the two
-are independent computations of the same polynomial.
+none of that code: it counts the partitions in every a_i x b_i box by area
+(the Schubert cells), one-sided boxes included, and multiplies those counts
+with a loop of its own, so the two are independent computations of the same
+polynomial.  It too works in int lists and builds one :class:`PoincarePoly`,
+since building a polynomial object per pair cost more than the counting.
 
-Packet enumeration counts its members first and refuses above the chain cap.
+:func:`gaussian_binomial` uses the product formula instead of the Pascal
+recurrence, so no path recurses deeper than the short side of a box, and it
+counts its work on a cache miss and refuses above the chain cap.  Packet
+enumeration counts its members first and refuses above the chain cap.
 """
 
 from __future__ import annotations
@@ -383,12 +388,38 @@ def lowest_degree(a: int, b: int, k: int) -> int:
 
 @lru_cache(maxsize=None)
 def gaussian_binomial(n: int, k: int) -> PoincarePoly:
-    """Gaussian binomial [n choose k]_q via the Pascal recurrence."""
+    """Gaussian binomial [n choose k]_q by the product formula.
+
+    [n choose k] = prod over i = 1..m of (1 - q^(n-m+i)) / (1 - q^i) with
+    m = min(k, n - k), in one int list: each step multiplies by one binomial
+    and divides exactly by the other, so nothing recurses.  On a cache miss
+    the work, m * k * (n - k) coefficient updates up to a constant, is
+    counted first and refused above the chain cap (ENDOSCOPYLAB_GUARD, else
+    the default) with :class:`GuardError`.
+    """
     if k < 0 or n < 0 or k > n:
         raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
-    if k == 0 or k == n:
-        return PoincarePoly.one()
-    return gaussian_binomial(n - 1, k - 1) + gaussian_binomial(n - 1, k).shift(k)
+    m = min(k, n - k)
+    work = m * k * (n - k)
+    cap = guard_limit(None, DEFAULT_CHAIN_GUARD)
+    if work > cap:
+        raise GuardError(
+            f"the Gaussian binomial [{n} choose {k}] would take {work} "
+            f"coefficient updates, above the cap {cap}"
+        )
+    # room for the product before the last division: degree m(n-m) + m
+    coeffs = [1] + [0] * (m * (n - m) + m)
+    top = 0  # degree of the running quotient
+    for i in range(1, m + 1):
+        shift = n - m + i
+        for j in range(top + shift, shift - 1, -1):  # times (1 - q^shift)
+            coeffs[j] -= coeffs[j - shift]
+        top += n - m
+        for j in range(i, top + 1):  # divided by (1 - q^i), exactly
+            coeffs[j] += coeffs[j - i]
+        for j in range(top + 1, top + i + 1):
+            coeffs[j] = 0
+    return PoincarePoly(tuple(coeffs[: top + 1]))
 
 
 def poincare_poly(B: Bipartition) -> PoincarePoly:
@@ -417,7 +448,13 @@ def poincare_poly(B: Bipartition) -> PoincarePoly:
 
 
 def _box_partition_counts(rows: int, cols: int) -> list[int]:
-    """Number of partitions inside a rows x cols box, indexed by area."""
+    """Number of partitions inside a rows x cols box, indexed by area.
+
+    Conjugation maps the partitions in a box onto those in the transposed
+    box and keeps their area, so the walk goes down the shorter side and
+    recurses at most min(rows, cols) deep.
+    """
+    rows, cols = min(rows, cols), max(rows, cols)
     counts = [0] * (rows * cols + 1)
 
     def walk(row: int, limit: int, area: int) -> None:
@@ -434,9 +471,12 @@ def _box_partition_counts(rows: int, cols: int) -> list[int]:
 def brute_poincare(B: Bipartition, *, guard: int | None = None) -> PoincarePoly:
     """Oracle for :func:`poincare_poly`: each factor counted cell by cell.
 
-    Enumerates the partitions in each a_i x b_i box directly (the Schubert
-    cells of the Grassmannian) instead of using the Gaussian recurrence.
-    Refuses when the total specialization product exceeds the guard cap.
+    Enumerates the partitions in every a_i x b_i box, one-sided boxes
+    included (the Schubert cells of the Grassmannian, counted by area),
+    instead of using Gaussian binomials.  The area counts are multiplied as
+    int lists by a loop of its own and placed at degree R + 2d; only the
+    result is a :class:`PoincarePoly`.  Refuses when the total
+    specialization product exceeds the guard cap.
     """
     cap = guard_limit(guard, DEFAULT_BRUTE_GUARD)
     size = 1
@@ -444,10 +484,19 @@ def brute_poincare(B: Bipartition, *, guard: int | None = None) -> PoincarePoly:
         size *= math.comb(x + y, x)
     if size > cap:
         raise GuardError(f"brute enumeration of {size} cells exceeds the cap {cap}")
-    poly = PoincarePoly.one()
+    by_area = [1]
     for x, y in B.pairs:
-        poly = poly * PoincarePoly(tuple(_box_partition_counts(x, y))).stretch(2)
-    return poly.shift(degree_R(B))
+        cells = _box_partition_counts(x, y)
+        product = [0] * (len(by_area) + len(cells) - 1)
+        for d, count in enumerate(by_area):
+            for e, cell_count in enumerate(cells):
+                product[d + e] += count * cell_count
+        by_area = product
+    R = degree_R(B)
+    coeffs = [0] * (R + 2 * len(by_area) - 1)
+    for d, count in enumerate(by_area):
+        coeffs[R + 2 * d] = count
+    return PoincarePoly(tuple(coeffs))
 
 
 def packet_of(

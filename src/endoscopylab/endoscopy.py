@@ -15,10 +15,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .guards import DEFAULT_CHAIN_GUARD, GuardError, guard_limit
 from .params import (
     ArthurShape,
     BlockSignVector,
     Summand,
+    TwoGroup,
     centralizer_group,
     s_psi,
 )
@@ -78,13 +80,19 @@ def elliptic_data(N: int) -> list[EndoscopicDatum]:
     return [EndoscopicDatum(n1, N - n1) for n1 in range(N, (N - 1) // 2, -1)]
 
 
+_ONE, _HALF, _QUARTER = Fraction(1), Fraction(1, 2), Fraction(1, 4)
+
+
 def iota(datum: EndoscopicDatum) -> Fraction:
-    """The factor iota(G, H): 1 improper, 1/4 for the equal split, else 1/2."""
+    """The factor iota(G, H): 1 improper, 1/4 for the equal split, else 1/2.
+
+    The three values are shared constants; a Fraction is immutable.
+    """
     if not datum.proper:
-        return Fraction(1)
+        return _ONE
     if datum.n1 == datum.n2:
-        return Fraction(1, 4)
-    return Fraction(1, 2)
+        return _QUARTER
+    return _HALF
 
 
 def _rank(part: Sequence[Summand]) -> int:
@@ -166,17 +174,34 @@ def _split_under(
     return split.datum, split
 
 
+def _guarded_sign_group(shape: ArthurShape, guard: int | None) -> TwoGroup:
+    """The sign group of an elliptic shape, refused when a table over it is too big.
+
+    A table with one entry per element has 2^(r-1) entries; above the chain
+    cap (``guard``, else ENDOSCOPYLAB_GUARD, else the default) this raises
+    :class:`GuardError` before any entry is built.
+    """
+    group = centralizer_group(shape)
+    cap = guard_limit(guard, DEFAULT_CHAIN_GUARD)
+    if group.order > cap:
+        raise GuardError(
+            f"the sign table would hold {group.order} entries, above the cap {cap}"
+        )
+    return group
+
+
 def bijection(
-    shape: ArthurShape,
+    shape: ArthurShape, *, guard: int | None = None
 ) -> dict[BlockSignVector, tuple[EndoscopicDatum, ParameterSplit]]:
     """Sign-group elements <-> (endoscopic datum, block split).
 
     An element's minus-blocks (in the canonical representative) land on one
     factor and the plus-blocks on the other; the datum records the two ranks
     with n1 >= n2.  The identity maps to the improper datum with the trivial
-    split.  The image has exactly 2^(r-1) entries.
+    split.  The image has exactly 2^(r-1) entries, counted first against
+    the chain cap.
     """
-    group = centralizer_group(shape)
+    group = _guarded_sign_group(shape, guard)
     out: dict[BlockSignVector, tuple[EndoscopicDatum, ParameterSplit]] = {}
     for element in group.elements:
         vector = group.to_sign_vector(element)

@@ -29,6 +29,13 @@ The independent oracle is the enumerated chain sum: :func:`enumerate_chains`
 builds every refinement forest from position-level plans (cached by block
 count only), and :func:`verify_inversion` sums them chain by chain, checks
 the recursion with that sum, and compares it with the kernel term by term.
+The oracle stays independent because it never groups trees: it visits every
+chain, replays its steps into terminal parts and weighs it by the product of
+its own steps' iota values, so a wrong tree weight or a wrong part in the
+kernel cannot hide in both.  It is kept cheap per chain without sharing any
+of that: the weight is an int numerator and denominator, each part's
+canonical shape and sort key come from a dict that lives for one call, and
+each term becomes a Fraction once, after its chains are summed as ints.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import comb
+from math import comb, lcm
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -126,17 +133,19 @@ class HyperChain:
 
     def terminal_factors(self) -> tuple[ArthurShape, ...]:
         """Replay the steps; factors in the order the splits produce them."""
-        work: list[tuple[Summand, ...]] = [s.summands for s in self.assignment]
-        for step in self.steps:
-            work[step.factor : step.factor + 1] = [
-                step.split.part1,
-                step.split.part2,
-            ]
-        return tuple(ArthurShape(t) for t in work)
+        return tuple(ArthurShape(part) for part in _replay(self))
 
     @property
     def terminal(self) -> GroupSymbol:
         return GroupSymbol.of_factors(self.terminal_factors())
+
+
+def _replay(chain: HyperChain) -> list[tuple[Summand, ...]]:
+    """The terminal parts of a chain as summand tuples, in split order."""
+    work = [f.summands for f in chain.assignment]
+    for step in chain.steps:
+        work[step.factor : step.factor + 1] = (step.split.part1, step.split.part2)
+    return work
 
 
 def _factor_key(shape: ArthurShape) -> tuple:
@@ -423,12 +432,19 @@ def enumerate_chains(
     return chains
 
 
+def _chain_weight(chain: HyperChain) -> tuple[int, int]:
+    """Numerator and denominator of :func:`chain_iota`, as ints, not reduced."""
+    num = den = 1
+    for step in chain.steps:
+        value = iota(step.datum)
+        num *= value.numerator
+        den *= value.denominator
+    return (-num if len(chain.steps) % 2 else num), den
+
+
 def chain_iota(chain: HyperChain) -> Fraction:
     """(-1)^depth times the product of the per-step iota factors."""
-    value = Fraction((-1) ** chain.depth)
-    for step in chain.steps:
-        value *= iota(step.datum)
-    return value
+    return Fraction(*_chain_weight(chain))
 
 
 def _chain_sum(
@@ -437,18 +453,38 @@ def _chain_sum(
     """Sum of iota(chain) * I^{terminal}, chain by chain over enumerate_chains.
 
     This is the independent oracle that :func:`verify_inversion` holds the
-    kernel to; it costs one replay per refinement forest.
+    kernel to: every chain is replayed into its terminal parts and weighed
+    by its own steps' iota values, so nothing of the kernel's subset
+    recursion is used.  Per call, a dict keeps each part's canonical shape
+    and sort key, and each term sums its chain weights as an int numerator
+    over the lcm of their denominators, becoming a Fraction once at the end.
     """
-    terms: dict[FactorKey, Fraction] = {}
+    parts_seen: dict[tuple[Summand, ...], tuple[tuple, ArthurShape]] = {}
+    sums: dict[tuple, list[int]] = {}  # term's sort keys -> [numerator, denominator]
+    shapes: dict[tuple, FactorKey] = {}
     for chain in enumerate_chains(assignment=factors, guard=guard):
-        key = canonical_factors(chain.terminal_factors())
-        coeff = terms.get(key, Fraction(0)) + chain_iota(chain)
-        if coeff:
-            terms[key] = coeff
+        parts = []
+        for part in _replay(chain):
+            known = parts_seen.get(part)
+            if known is None:
+                canon = ArthurShape(part).canonical()
+                parts_seen[part] = known = (_factor_key(canon), canon)
+            parts.append(known)
+        parts.sort(key=itemgetter(0))
+        key = tuple(k for k, _ in parts)
+        num, den = _chain_weight(chain)
+        acc = sums.get(key)
+        if acc is None:
+            sums[key] = [num, den]
+            shapes[key] = tuple(canon for _, canon in parts)
         else:
-            terms.pop(key, None)
+            common = lcm(acc[1], den)
+            acc[0] = acc[0] * (common // acc[1]) + num * (common // den)
+            acc[1] = common
     result = FormalDist()
-    result._terms = terms
+    result._terms = {
+        shapes[key]: Fraction(num, den) for key, (num, den) in sums.items() if num
+    }
     return result
 
 

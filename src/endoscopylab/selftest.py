@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain, combinations_with_replacement
 from typing import Callable, Iterator
@@ -74,6 +75,7 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+    elapsed_s: float = 0.0  # wall time of the check, set by run_all
 
 
 def _compositions(n: int) -> Iterator[tuple[int, ...]]:
@@ -471,25 +473,27 @@ def check_inner_forms(seed: int = DEFAULT_SEED) -> CheckResult:
     return CheckResult("inner_forms", True, "200 random specs, flip sensitivity held")
 
 
-ALL_CHECKS: tuple[tuple[str, Callable[..., CheckResult]], ...] = (
+# Every entry takes the seed; the deterministic checks ignore it.
+ALL_CHECKS: tuple[tuple[str, Callable[[int], CheckResult]], ...] = (
     ("poincare_oracle", check_poincare_oracle),
-    ("degree_formula", check_degree_formula),
+    ("degree_formula", lambda seed: check_degree_formula()),
     ("dominance", check_dominance),
-    ("inversion", check_inversion),
-    ("exponent_pipeline", check_exponent_pipeline),
-    ("sarnak_xue", check_sarnak_xue),
-    ("structure_counts", check_structure_counts),
+    ("inversion", lambda seed: check_inversion()),
+    ("exponent_pipeline", lambda seed: check_exponent_pipeline()),
+    ("sarnak_xue", lambda seed: check_sarnak_xue()),
+    ("structure_counts", lambda seed: check_structure_counts()),
     ("inner_forms", check_inner_forms),
 )
 
 
 def run_all(seed: int = DEFAULT_SEED) -> list[CheckResult]:
+    """Run every check in order, each with its wall time in ``elapsed_s``."""
     results = []
     for name, check in ALL_CHECKS:
-        code = check.__code__
-        takes_seed = "seed" in code.co_varnames[: code.co_argcount]
+        start = time.perf_counter()
         try:
-            results.append(check(seed) if takes_seed else check())
+            result = check(seed)
         except Exception as exc:  # a crash is a failure, not an abort
-            results.append(CheckResult(name, False, f"error: {exc}"))
+            result = CheckResult(name, False, f"error: {exc}")
+        results.append(replace(result, elapsed_s=time.perf_counter() - start))
     return results

@@ -21,6 +21,7 @@ from endoscopylab.hyperendoscopy import GroupSymbol
 from endoscopylab.params import (
     ArthurShape,
     BlockSignVector,
+    GroupChar,
     Summand,
     centralizer_group,
     from_cohomological,
@@ -233,3 +234,15 @@ def test_dominance_full_packet_ten_blocks():
     assert result.i_value == 1  # only the trivial character survives the group sum
     c_dom = stable_coefficient(shape, s_psi(shape))
     assert result.c_psi == coefficient_sum(shape) / c_dom == 512
+
+
+def test_dominance_check_guard_counts_the_table_first():
+    shape = from_cohomological((4, 3, 2, 1))  # 2^3 table entries
+    packet = trivial_packet(shape)
+    with pytest.raises(GuardError, match="8 entries"):
+        dominance_check(shape, packet, guard=7)
+    assert dominance_check(shape, packet, guard=8).holds
+    wide = from_cohomological((1,) * 24)
+    single = PacketModel(23, ((GroupChar(23, 0), Fraction(1)),), GroupChar(23, 0))
+    with pytest.raises(GuardError):
+        dominance_check(wide, single)

@@ -364,3 +364,89 @@ def test_config_reads_guard_env(monkeypatch):
     cfg = cli.Config.from_namespace(cli.build_parser().parse_args(["selftest"]))
     assert cfg.chain_guard == 42
     assert cfg.brute_guard == 42
+
+
+def one_error_line(err):
+    return err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+def test_poincare_long_pair_prints(capsys):
+    code, out, err = run(capsys, "poincare", "--bipartition", "[[1000,1]]")
+    assert (code, err) == (0, "")
+    assert out.startswith("B = (1000,1) on U(1000,1)\nR = 0\nP(t) = 1 + t^2 + ")
+    assert "+ t^2000\n" in out
+
+
+def test_poincare_gaussian_guard_exit_code(capsys):
+    code, out, err = run(capsys, "poincare", "--bipartition", "[[400,400]]")
+    assert code == 1
+    assert out == ""
+    assert one_error_line(err)
+    assert "Gaussian binomial [800 choose 400]" in err
+
+
+BLOCKS_24 = json.dumps(
+    {"summands": [{"label": f"c{i}", "n": 1, "m": 1} for i in range(1, 25)]}
+)
+BLOCKS_4 = json.dumps(
+    {"summands": [{"label": f"c{i}", "n": 1, "m": i} for i in range(1, 5)]}
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("endoscopy", "--N", "24", "--shape", BLOCKS_24),
+        ("dominance", "--shape", BLOCKS_24, "--trials", "1"),
+    ],
+    ids=["endoscopy", "dominance"],
+)
+def test_sign_table_guard_exit_code(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert one_error_line(err)
+    assert "8388608 entries" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("endoscopy", "--N", "10", "--shape", BLOCKS_4),
+        ("dominance", "--shape", BLOCKS_4, "--trials", "3"),
+    ],
+    ids=["endoscopy", "dominance"],
+)
+def test_sign_table_guard_env_override(capsys, monkeypatch, argv):
+    monkeypatch.setenv("ENDOSCOPYLAB_GUARD", "7")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert one_error_line(err)
+    monkeypatch.setenv("ENDOSCOPYLAB_GUARD", "8")
+    code, _, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+
+
+def test_selftest_json_reports_each_check_with_its_time(capsys):
+    code, out, err = run(capsys, "selftest", "--format", "json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert (payload["passed"], payload["failed"]) == (8, 0)
+    assert len(payload["checks"]) == 8
+    for check in payload["checks"]:
+        assert set(check) == {"name", "passed", "detail", "elapsed_s"}
+        assert check["passed"] and check["elapsed_s"] >= 0
+
+
+def test_selftest_csv_and_table_share_the_results(capsys, monkeypatch):
+    fake = [CheckResult("alpha", True, "ok", 0.25), CheckResult("beta", False, "x")]
+    monkeypatch.setattr(cli, "run_all", lambda seed: fake)
+    code, out, _ = run(capsys, "selftest", "--format", "csv")
+    assert code == 1
+    assert out.splitlines() == [
+        "name,passed,detail,elapsed_s",
+        "alpha,True,ok,0.25",
+        "beta,False,x,0.0",
+    ]
+    code, out, _ = run(capsys, "selftest")
+    assert out == "PASS: alpha (ok)\nFAIL: beta (x)\n1 passed, 1 failed\n"

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from endoscopylab import cohomology
 from endoscopylab.cohomology import (
     Bipartition,
     OrderedPartition,
     PoincarePoly,
+    _box_partition_counts,
     _packet_count,
     _reduced_count,
     bipartition_from_json,
@@ -24,7 +26,7 @@ from endoscopylab.cohomology import (
     poincare_poly,
 )
 from endoscopylab.guards import GuardError
-from endoscopylab.selftest import packet_members
+from endoscopylab.selftest import check_poincare_oracle, packet_members
 
 
 def bp(*pairs):
@@ -251,3 +253,67 @@ def test_poly_rejects_non_int_coefficients(coeffs):
 def test_partition_rejects_bool_parts():
     with pytest.raises(ValueError):
         OrderedPartition((True, 2))
+
+
+def test_box_counts_walk_the_short_side():
+    assert _box_partition_counts(3, 5) == _box_partition_counts(5, 3)
+    assert _box_partition_counts(0, 4) == [1]
+    # one row of 1000 cells: one partition of each area, no deep recursion
+    assert _box_partition_counts(1000, 1) == [1] * 1001
+
+
+def test_long_pair_needs_no_deep_recursion():
+    B = bp((1000, 1))
+    poly = poincare_poly(B)
+    assert poly == brute_poincare(B)
+    assert poly.coeffs[::2] == (1,) * 1001
+
+
+def test_gaussian_binomial_product_formula_matches_pascal():
+    for n in range(12):
+        for k in range(1, n):
+            pascal = gaussian_binomial(n - 1, k - 1) + gaussian_binomial(n - 1, k).shift(k)
+            assert gaussian_binomial(n, k) == pascal
+
+
+def test_gaussian_binomial_guard(monkeypatch):
+    with pytest.raises(GuardError, match="64000000 coefficient updates"):
+        gaussian_binomial(800, 400)
+    with pytest.raises(GuardError):
+        poincare_poly(bp((400, 400)))
+    # 3 * 3 * 4 = 36 updates; a miss is counted against the env cap
+    gaussian_binomial.cache_clear()
+    monkeypatch.setenv("ENDOSCOPYLAB_GUARD", "35")
+    with pytest.raises(GuardError):
+        gaussian_binomial(7, 3)
+    monkeypatch.setenv("ENDOSCOPYLAB_GUARD", "36")
+    assert gaussian_binomial(7, 3)(1) == math.comb(7, 3)
+
+
+def test_brute_calls_neither_gaussian_nor_kernel(monkeypatch):
+    members = list(packet_members(4))
+    expected = [poincare_poly(B) for B in members]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle reached into the kernel")
+
+    monkeypatch.setattr(cohomology, "gaussian_binomial", refuse)
+    monkeypatch.setattr(cohomology, "poincare_poly", refuse)
+    assert [brute_poincare(B) for B in members] == expected
+
+
+def test_planted_cell_count_fault_fails_the_oracle(monkeypatch):
+    honest = cohomology._box_partition_counts
+
+    def off_by_one(rows, cols):
+        counts = honest(rows, cols)
+        if len(counts) > 2:
+            counts[1] += 1
+        return counts
+
+    monkeypatch.setattr(cohomology, "_box_partition_counts", off_by_one)
+    B = bp((2, 1), (1, 0))
+    assert brute_poincare(B) != poincare_poly(B)
+    result = check_poincare_oracle()
+    assert not result.passed
+    assert result.detail.startswith("mismatch at")

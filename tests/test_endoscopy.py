@@ -21,6 +21,7 @@ from endoscopylab.endoscopy import (
     kottwitz_sign_real,
     make_split,
 )
+from endoscopylab.guards import GuardError
 from endoscopylab.params import BlockSignVector, Summand, from_cohomological, s_psi
 
 
@@ -160,3 +161,22 @@ def test_validity_tracks_kottwitz_product(spec_n):
 def test_datum_json():
     data = datum_to_json(EndoscopicDatum(4, 1))
     assert data["n1"] == 4 and data["n2"] == 1
+
+
+def test_bijection_guard_counts_the_table_first():
+    shape = from_cohomological((1,) * 24)  # 2^23 entries
+    with pytest.raises(GuardError, match="8388608 entries"):
+        bijection(shape)
+    four = from_cohomological((4, 3, 2, 1))  # 2^3 entries
+    with pytest.raises(GuardError):
+        bijection(four, guard=7)
+    assert len(bijection(four, guard=8)) == 8
+
+
+def test_bijection_guard_reads_env(monkeypatch):
+    four = from_cohomological((4, 3, 2, 1))
+    monkeypatch.setenv("ENDOSCOPYLAB_GUARD", "7")
+    with pytest.raises(GuardError):
+        bijection(four)
+    monkeypatch.setenv("ENDOSCOPYLAB_GUARD", "8")
+    assert len(bijection(four)) == 8

@@ -5,6 +5,8 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from endoscopylab import hyperendoscopy
+from endoscopylab.endoscopy import iota
 from endoscopylab.guards import GuardError
 from endoscopylab.hyperendoscopy import (
     FormalDist,
@@ -224,3 +226,37 @@ def test_stable_expansion_guard_counts_terms():
     with pytest.raises(GuardError):
         dominant_contribution(mixed, guard=4)
     assert len(dominant_contribution(mixed, guard=5)) == 5
+
+
+def test_chain_iota_is_the_literal_product_on_every_chain():
+    shape = from_cohomological((2, 2, 1, 1, 1))
+    chains = enumerate_chains(shape=shape)
+    assert len(chains) == PLAN_COUNTS[5]
+    for chain in chains:
+        literal = Fraction((-1) ** chain.depth)
+        for step in chain.steps:
+            literal *= iota(step.datum)
+        assert chain_iota(chain) == literal
+
+
+def test_chain_sum_calls_no_kernel_function(monkeypatch):
+    shape = from_cohomological((2, 1, 1, 1))
+    expected = expand_stable(shape=shape)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle reached into the kernel")
+
+    for name in ("_tree_sum", "_factor_terms", "expand_stable", "chain_expansion"):
+        monkeypatch.setattr(hyperendoscopy, name, refuse)
+    assert _chain_sum((shape,), None) == expected
+
+
+def test_planted_iota_fault_fails_verify_inversion(monkeypatch):
+    # (2, 1, 1) has the rank tie 2 = 1 + 1, so an iota of 1/4 occurs
+    shape = from_cohomological((2, 1, 1))
+    assert verify_inversion(shape=shape)
+    swapped = {Fraction(1, 4): Fraction(1, 2), Fraction(1, 2): Fraction(1, 4)}
+    monkeypatch.setattr(
+        hyperendoscopy, "iota", lambda datum: swapped.get(iota(datum), iota(datum))
+    )
+    assert not verify_inversion(shape=shape)
