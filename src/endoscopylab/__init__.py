@@ -54,11 +54,9 @@ from .cohomology import (
     PoincarePoly,
     brute_poincare,
     degree_R,
-    duplicate_of,
     enumerate_bipartitions,
     gaussian_binomial,
     lowest_degree,
-    packet_of,
     poincare_poly,
 )
 from .decay import (
@@ -83,70 +81,3 @@ from .bounds import (
 from .selftest import ALL_CHECKS, CheckResult, run_all
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ArthurShape",
-    "BlockSignVector",
-    "GroupChar",
-    "Summand",
-    "TwoGroup",
-    "centralizer_group",
-    "from_cohomological",
-    "is_elliptic",
-    "s_psi",
-    "shape_from_json",
-    "shape_to_json",
-    "EndoscopicDatum",
-    "InnerFormSpec",
-    "ParameterSplit",
-    "bijection",
-    "check_inner_form",
-    "dominant_group",
-    "elliptic_data",
-    "global_kottwitz_product",
-    "iota",
-    "kottwitz_sign_padic",
-    "kottwitz_sign_real",
-    "make_split",
-    "GuardError",
-    "ChainStep",
-    "FormalDist",
-    "GroupSymbol",
-    "HyperChain",
-    "chain_expansion",
-    "chain_iota",
-    "dominant_contribution",
-    "enumerate_chains",
-    "expand_stable",
-    "verify_inversion",
-    "Bipartition",
-    "OrderedPartition",
-    "PoincarePoly",
-    "brute_poincare",
-    "degree_R",
-    "duplicate_of",
-    "enumerate_bipartitions",
-    "gaussian_binomial",
-    "lowest_degree",
-    "packet_of",
-    "poincare_poly",
-    "DecayProfile",
-    "SxResult",
-    "p_bound_of_bipartition",
-    "ratio_profile",
-    "sx_check",
-    "Derivation",
-    "DerivationStep",
-    "DominanceResult",
-    "PacketModel",
-    "coefficient_sum",
-    "derive_exponent",
-    "dominance_check",
-    "i_disc_model",
-    "savin_exponent",
-    "stable_coefficient",
-    "ALL_CHECKS",
-    "CheckResult",
-    "run_all",
-    "__version__",
-]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .cohomology import lowest_degree
 from .endoscopy import EndoscopicDatum, _guarded_sign_group, dominant_group, iota
@@ -24,6 +24,7 @@ from .params import (
     ArthurShape,
     BlockSignVector,
     GroupChar,
+    TwoGroup,
     centralizer_group,
     from_cohomological,
     s_psi,
@@ -40,7 +41,17 @@ __all__ = [
     "dominance_check",
     "derive_exponent",
     "savin_exponent",
+    "num_json",
 ]
+
+
+def num_json(value):
+    """Exact JSON rendering: an integral Fraction becomes an int, a proper one "p/q"."""
+    if isinstance(value, Fraction):
+        if value.denominator == 1:
+            return int(value)
+        return f"{value.numerator}/{value.denominator}"
+    return value
 
 
 @dataclass(frozen=True)
@@ -131,8 +142,14 @@ def i_disc_model(shape: ArthurShape, packet: PacketModel) -> Fraction:
     With m = chi.mask ^ epsilon.mask the double sum is
     sum_chi t_chi * (-1)^<m, s_psi> * C^(m), where C^ is the Walsh-Hadamard
     transform of the coefficient table, so it costs O(r * 2^r + members).
+    The 2^(r-1)-entry table is counted first and refused above the chain cap
+    (ENDOSCOPYLAB_GUARD, else the default).
     """
-    group = centralizer_group(shape)
+    return _i_disc(shape, _guarded_sign_group(shape, None), packet)
+
+
+def _i_disc(shape: ArthurShape, group: TwoGroup, packet: PacketModel) -> Fraction:
+    """:func:`i_disc_model` on a sign group whose table size is already checked."""
     if packet.rank != group.rank:
         raise ValueError(
             f"packet rank {packet.rank} does not match group rank {group.rank}"
@@ -169,8 +186,7 @@ def dominance_check(
     are nonnegative.  The trace runs over a 2^(r-1)-entry coefficient table,
     which is counted first and refused above the chain cap.
     """
-    _guarded_sign_group(shape, guard)
-    i_value = i_disc_model(shape, packet)
+    i_value = _i_disc(shape, _guarded_sign_group(shape, guard), packet)
     c_dom = stable_coefficient(shape, s_psi(shape))
     s_dominant = c_dom * packet.trace_total
     c_psi = coefficient_sum(shape) / c_dom
@@ -198,11 +214,6 @@ class Derivation:
     max_matches_dominant: bool
 
     def to_json(self) -> dict:
-        def value_json(v: Fraction | int):
-            if isinstance(v, Fraction) and v.denominator != 1:
-                return f"{v.numerator}/{v.denominator}"
-            return int(v)
-
         return {
             "input": {"N": self.N, "a": self.a, "k": self.k},
             "steps": [
@@ -210,7 +221,7 @@ class Derivation:
                     "name": s.name,
                     "claim": s.claim,
                     "justification": s.justification,
-                    "value": value_json(s.value),
+                    "value": num_json(s.value),
                 }
                 for s in self.steps
             ],

@@ -13,18 +13,17 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .bounds import PacketModel, derive_exponent, dominance_check
+from .bounds import derive_exponent, dominance_check, num_json
 from .cohomology import (
     Bipartition,
     PoincarePoly,
     bipartition_from_json,
     bipartition_to_json,
     degree_R,
-    packet_of,
+    enumerate_bipartitions,
     poincare_poly,
 )
 from .decay import p_bound_of_bipartition, ratio_profile, sx_check
@@ -37,12 +36,7 @@ from .endoscopy import (
     iota,
     split_to_json,
 )
-from .guards import (
-    DEFAULT_BRUTE_GUARD,
-    DEFAULT_CHAIN_GUARD,
-    GuardError,
-    guard_limit,
-)
+from .guards import DEFAULT_CHAIN_GUARD, GuardError, guard_limit
 from .hyperendoscopy import (
     GroupSymbol,
     chain_expansion,
@@ -50,44 +44,12 @@ from .hyperendoscopy import (
     dominant_contribution,
     enumerate_chains,
 )
-from .params import (
-    ArthurShape,
-    centralizer_group,
-    s_psi,
-    shape_from_json,
-    shape_to_json,
-)
-from .selftest import DEFAULT_SEED, run_all
+from .params import ArthurShape, s_psi, shape_from_json, shape_to_json
+from .selftest import DEFAULT_SEED, random_packet, run_all
 
-__all__ = ["main", "build_parser", "Config"]
+__all__ = ["main", "build_parser"]
 
 SCHEMA_VERSION = 1
-
-
-@dataclass(frozen=True)
-class Config:
-    """Resolved output and enumeration settings for one invocation."""
-
-    format: str = "table"
-    seed: int = DEFAULT_SEED
-    brute_guard: int = DEFAULT_BRUTE_GUARD
-    chain_guard: int = DEFAULT_CHAIN_GUARD
-
-    def __post_init__(self) -> None:
-        if self.format not in ("table", "json", "csv"):
-            raise ValueError(f"unknown output format {self.format!r}")
-        if self.brute_guard < 1 or self.chain_guard < 1:
-            raise ValueError("enumeration caps must be positive")
-
-    @classmethod
-    def from_namespace(cls, ns: argparse.Namespace) -> "Config":
-        """Flags plus the ENDOSCOPYLAB_GUARD environment override."""
-        return cls(
-            format=getattr(ns, "format", "table"),
-            seed=getattr(ns, "seed", DEFAULT_SEED),
-            brute_guard=guard_limit(None, DEFAULT_BRUTE_GUARD),
-            chain_guard=guard_limit(None, DEFAULT_CHAIN_GUARD),
-        )
 
 
 def _load_json_text(text: str):
@@ -112,17 +74,8 @@ def _bipartition_arg(text: str) -> Bipartition:
     return bipartition_from_json(_load_json_text(text))
 
 
-def _num_json(value):
-    """Exact JSON rendering: int stays int, proper fractions become "p/q"."""
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return int(value)
-        return f"{value.numerator}/{value.denominator}"
-    return value
-
-
 def _num_str(value) -> str:
-    return str(_num_json(value))
+    return str(num_json(value))
 
 
 def _factors_str(factors: Sequence[ArthurShape]) -> str:
@@ -136,7 +89,7 @@ def _factors_str(factors: Sequence[ArthurShape]) -> str:
 def _expansion_json(dist) -> list[dict]:
     return [
         {
-            "coefficient": _num_json(coeff),
+            "coefficient": num_json(coeff),
             "group": str(GroupSymbol.of_factors(key)) if key else "1",
             "factors": [shape_to_json(f) for f in key],
         }
@@ -144,9 +97,16 @@ def _expansion_json(dist) -> list[dict]:
     ]
 
 
+def _expansion_lines(dist) -> list[str]:
+    return [
+        f"  {_num_str(coeff):>8}  I^{{{_factors_str(key)}}}" for key, coeff in dist.items()
+    ]
+
+
 def _emit(fmt: str, payload: dict, lines: list[str], rows: list[Sequence]) -> None:
+    """The one render path of every command; json output leads with the schema."""
     if fmt == "json":
-        print(json.dumps(payload, indent=2))
+        print(json.dumps({"schema_version": SCHEMA_VERSION, **payload}, indent=2))
     elif fmt == "csv":
         writer = csv.writer(sys.stdout)
         for row in rows:
@@ -156,13 +116,12 @@ def _emit(fmt: str, payload: dict, lines: list[str], rows: list[Sequence]) -> No
             print(line)
 
 
-def _cmd_endoscopy(ns: argparse.Namespace, cfg: Config) -> int:
+def _cmd_endoscopy(ns: argparse.Namespace) -> int:
     data = elliptic_data(ns.N)
     payload: dict = {
-        "schema_version": SCHEMA_VERSION,
         "N": ns.N,
         "data": [
-            {**datum_to_json(d), "iota": _num_json(iota(d))} for d in data
+            {**datum_to_json(d), "iota": num_json(iota(d))} for d in data
         ],
     }
     lines = [f"elliptic endoscopic data for U({ns.N}):"]
@@ -175,7 +134,7 @@ def _cmd_endoscopy(ns: argparse.Namespace, cfg: Config) -> int:
         shape = _shape_arg(ns.shape)
         if shape.N != ns.N:
             raise ValueError(f"shape has N={shape.N}, but --N {ns.N} was given")
-        table = bijection(shape, guard=cfg.chain_guard)
+        table = bijection(shape)
         center = s_psi(shape)
         payload["shape"] = shape_to_json(shape)
         payload["s_psi"] = str(center)
@@ -194,21 +153,20 @@ def _cmd_endoscopy(ns: argparse.Namespace, cfg: Config) -> int:
                 {
                     "s": str(s),
                     "datum": datum_to_json(datum),
-                    "iota": _num_json(iota(datum)),
+                    "iota": num_json(iota(datum)),
                     "split": split_to_json(split),
                     "is_s_psi": s == center,
                 }
             )
-    _emit(cfg.format, payload, lines, rows)
+    _emit(ns.format, payload, lines, rows)
     return 0
 
 
-def _cmd_chains(ns: argparse.Namespace, cfg: Config) -> int:
+def _cmd_chains(ns: argparse.Namespace) -> int:
     shape = _shape_arg(ns.shape)
     if ns.N is not None and shape.N != ns.N:
         raise ValueError(f"shape has N={shape.N}, but --N {ns.N} was given")
     payload: dict = {
-        "schema_version": SCHEMA_VERSION,
         "shape": shape_to_json(shape),
         "dominant": ns.dominant,
     }
@@ -216,7 +174,7 @@ def _cmd_chains(ns: argparse.Namespace, cfg: Config) -> int:
     rows: list[Sequence] = []
     if ns.dominant:
         center = s_psi(shape)
-        expansion = dominant_contribution(shape, guard=cfg.chain_guard)
+        expansion = dominant_contribution(shape)
         if center.is_identity:
             lines.append(
                 f"s_psi = {center} is the identity; full stable expansion on U({shape.N}):"
@@ -231,20 +189,16 @@ def _cmd_chains(ns: argparse.Namespace, cfg: Config) -> int:
             payload["dominant_datum"] = datum_to_json(datum)
             payload["dominant_split"] = split_to_json(split)
         payload["expansion"] = _expansion_json(expansion)
+        lines += _expansion_lines(expansion)
         rows.append(("coefficient", "group", "factors"))
-        for key, coeff in expansion.items():
-            lines.append(f"  {_num_str(coeff):>8}  I^{{{_factors_str(key)}}}")
-            rows.append(
-                (
-                    _num_str(coeff),
-                    str(GroupSymbol.of_factors(key)),
-                    " | ".join(str(f) for f in key),
-                )
-            )
-        _emit(cfg.format, payload, lines, rows)
+        rows.extend(
+            (_num_str(coeff), str(GroupSymbol.of_factors(key)), " | ".join(map(str, key)))
+            for key, coeff in expansion.items()
+        )
+        _emit(ns.format, payload, lines, rows)
         return 0
-    chains = enumerate_chains(shape=shape, guard=cfg.chain_guard)
-    expansion = chain_expansion(shape=shape, guard=cfg.chain_guard)
+    chains = enumerate_chains(shape=shape)
+    expansion = chain_expansion(shape=shape)
     payload["chains"] = []
     lines.append(f"refinement chains for {shape} on U({shape.N}):")
     rows.append(("depth", "iota", "terminal", "steps"))
@@ -263,7 +217,7 @@ def _cmd_chains(ns: argparse.Namespace, cfg: Config) -> int:
         payload["chains"].append(
             {
                 "depth": chain.depth,
-                "iota": _num_json(value),
+                "iota": num_json(value),
                 "terminal": terminal,
                 "steps": [
                     {
@@ -277,9 +231,8 @@ def _cmd_chains(ns: argparse.Namespace, cfg: Config) -> int:
         )
     payload["expansion"] = _expansion_json(expansion)
     lines.append("chain-sum expansion:")
-    for key, coeff in expansion.items():
-        lines.append(f"  {_num_str(coeff):>8}  I^{{{_factors_str(key)}}}")
-    _emit(cfg.format, payload, lines, rows)
+    lines += _expansion_lines(expansion)
+    _emit(ns.format, payload, lines, rows)
     return 0
 
 
@@ -302,9 +255,9 @@ def _member_json(B: Bipartition, R: int, poly: PoincarePoly) -> dict:
     }
 
 
-def _cmd_packet(ns: argparse.Namespace, cfg: Config) -> int:
+def _cmd_packet(ns: argparse.Namespace) -> int:
     parts = _parse_partition(ns.P)
-    members = packet_of(parts, ns.a, ns.b, guard=cfg.chain_guard)
+    members = enumerate_bipartitions(ns.a, ns.b, parts)
     lines = [
         f"packet of P={list(parts)} on U({ns.a},{ns.b}): {len(members)} members"
     ]
@@ -317,23 +270,21 @@ def _cmd_packet(ns: argparse.Namespace, cfg: Config) -> int:
         lines.append(f"  {name}  R={R}  P(t) = {text}")
         rows.append((name, R, text, B.is_reduced))
     payload = {
-        "schema_version": SCHEMA_VERSION,
         "a": ns.a,
         "b": ns.b,
         "P": list(parts),
         "size": len(members),
         "members": member_json,
     }
-    _emit(cfg.format, payload, lines, rows)
+    _emit(ns.format, payload, lines, rows)
     return 0
 
 
-def _cmd_poincare(ns: argparse.Namespace, cfg: Config) -> int:
+def _cmd_poincare(ns: argparse.Namespace) -> int:
     B = _bipartition_arg(ns.bipartition)
     R, poly = degree_R(B), poincare_poly(B)
     palindromic = poly.is_palindromic()
     payload = {
-        "schema_version": SCHEMA_VERSION,
         **_member_json(B, R, poly),
         "a": B.a,
         "b": B.b,
@@ -350,24 +301,23 @@ def _cmd_poincare(ns: argparse.Namespace, cfg: Config) -> int:
         ("pairs", "R", "poincare", "palindromic"),
         (str(B), R, str(poly), palindromic),
     ]
-    _emit(cfg.format, payload, lines, rows)
+    _emit(ns.format, payload, lines, rows)
     return 0
 
 
-def _cmd_decay(ns: argparse.Namespace, cfg: Config) -> int:
+def _cmd_decay(ns: argparse.Namespace) -> int:
     B = _bipartition_arg(ns.bipartition)
     bound = p_bound_of_bipartition(B)
     mixed = next((x, y) for x, y in B.pairs if x >= 1 and y >= 1)
     profile = ratio_profile(B.N, sum(mixed), min(B.a, B.b), min(mixed))
     payload = {
-        "schema_version": SCHEMA_VERSION,
         **bipartition_to_json(B),
         "N": profile.N,
         "N_k": profile.N_k,
         "c": profile.c,
         "c_k": profile.c_k,
-        "ratios": [_num_json(r) for r in profile.ratios],
-        "p_bound": _num_json(bound) if bound is not None else None,
+        "ratios": [num_json(r) for r in profile.ratios],
+        "p_bound": num_json(bound) if bound is not None else None,
     }
     lines = [
         f"B = {B}: N = {profile.N}, mixed pair size N_k = {profile.N_k}",
@@ -384,14 +334,13 @@ def _cmd_decay(ns: argparse.Namespace, cfg: Config) -> int:
     rows: list[Sequence] = [("j", "ratio")]
     rows.extend((j, _num_str(r)) for j, r in enumerate(profile.ratios, 1))
     rows.append(("p_bound", _num_str(bound) if bound is not None else "unbounded"))
-    _emit(cfg.format, payload, lines, rows)
+    _emit(ns.format, payload, lines, rows)
     return 0
 
 
-def _cmd_sx(ns: argparse.Namespace, cfg: Config) -> int:
+def _cmd_sx(ns: argparse.Namespace) -> int:
     result = sx_check(ns.N, ns.k)
     payload = {
-        "schema_version": SCHEMA_VERSION,
         "N": ns.N,
         "k": ns.k,
         "theorem_exponent": result.theorem_exponent,
@@ -408,14 +357,13 @@ def _cmd_sx(ns: argparse.Namespace, cfg: Config) -> int:
         ("N", "k", "theorem_exponent", "sx_exponent", "holds"),
         (ns.N, ns.k, result.theorem_exponent, result.sx_exponent, result.holds),
     ]
-    _emit(cfg.format, payload, lines, rows)
+    _emit(ns.format, payload, lines, rows)
     return 0
 
 
-def _cmd_derive(ns: argparse.Namespace, cfg: Config) -> int:
-    d = derive_exponent(ns.N, ns.a, ns.k, guard=cfg.chain_guard)
-    fmt = "json" if ns.json else cfg.format
-    payload = {"schema_version": SCHEMA_VERSION, **d.to_json()}
+def _cmd_derive(ns: argparse.Namespace) -> int:
+    d = derive_exponent(ns.N, ns.a, ns.k)
+    fmt = "json" if ns.json else ns.format
     lines = [f"exponent derivation for U({ns.a},{ns.N - ns.a}), N={ns.N}, k={ns.k}:"]
     for step in d.steps:
         lines.append(f"  [{step.name}] {step.claim}")
@@ -431,48 +379,36 @@ def _cmd_derive(ns: argparse.Namespace, cfg: Config) -> int:
     rows: list[Sequence] = [("terminal", "exponent")]
     rows.extend((str(sym), exponent) for sym, exponent in d.chain_exponents)
     rows.append(("final", d.final))
-    _emit(fmt, payload, lines, rows)
+    _emit(fmt, d.to_json(), lines, rows)
     return 0
 
 
-def _random_packet(rng: random.Random, shape: ArthurShape) -> PacketModel:
-    group = centralizer_group(shape)
-    chars = group.characters()
-    size = rng.randint(1, len(chars))
-    members = tuple(
-        (chi, Fraction(rng.randint(0, 9), rng.randint(1, 9)))
-        for chi in rng.sample(chars, size)
-    )
-    return PacketModel(group.rank, members, rng.choice(chars))
-
-
-def _cmd_dominance(ns: argparse.Namespace, cfg: Config) -> int:
+def _cmd_dominance(ns: argparse.Namespace) -> int:
     if ns.trials < 1:
         raise ValueError(f"--trials must be positive, got {ns.trials}")
     shape = _shape_arg(ns.shape)
-    # each random packet lists all 2^(r-1) characters, so refuse before building one
-    _guarded_sign_group(shape, cfg.chain_guard)
-    rng = random.Random(cfg.seed)
+    # the random packets draw from all 2^(r-1) characters, so refuse before listing them
+    chars = _guarded_sign_group(shape, None).characters()
+    rng = random.Random(ns.seed)
     violations = 0
     min_margin: Fraction | None = None
     for _ in range(ns.trials):
-        result = dominance_check(shape, _random_packet(rng, shape))
+        result = dominance_check(shape, random_packet(rng, chars))
         margin = result.c_psi * result.s_dominant - result.i_value
         if min_margin is None or margin < min_margin:
             min_margin = margin
         if not result.holds:
             violations += 1
     payload = {
-        "schema_version": SCHEMA_VERSION,
         "shape": shape_to_json(shape),
         "trials": ns.trials,
-        "seed": cfg.seed,
+        "seed": ns.seed,
         "violations": violations,
-        "min_margin": _num_json(min_margin) if min_margin is not None else None,
+        "min_margin": num_json(min_margin) if min_margin is not None else None,
         "holds": violations == 0,
     }
     lines = [
-        f"dominance for {shape}: {ns.trials} random packets, seed {cfg.seed}",
+        f"dominance for {shape}: {ns.trials} random packets, seed {ns.seed}",
         f"violations: {violations}",
         f"smallest margin C*S - I: {_num_str(min_margin) if min_margin is not None else 'n/a'}",
         f"holds: {'yes' if violations == 0 else 'no'}",
@@ -481,23 +417,22 @@ def _cmd_dominance(ns: argparse.Namespace, cfg: Config) -> int:
         ("trials", "seed", "violations", "min_margin", "holds"),
         (
             ns.trials,
-            cfg.seed,
+            ns.seed,
             violations,
             _num_str(min_margin) if min_margin is not None else "",
             violations == 0,
         ),
     ]
-    _emit(cfg.format, payload, lines, rows)
+    _emit(ns.format, payload, lines, rows)
     return 0 if violations == 0 else 1
 
 
-def _cmd_selftest(ns: argparse.Namespace, cfg: Config) -> int:
-    results = run_all(cfg.seed)
+def _cmd_selftest(ns: argparse.Namespace) -> int:
+    results = run_all(ns.seed)
     passed = sum(1 for r in results if r.passed)
     failed = len(results) - passed
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "seed": cfg.seed,
+        "seed": ns.seed,
         "checks": [
             {
                 "name": r.name,
@@ -516,7 +451,7 @@ def _cmd_selftest(ns: argparse.Namespace, cfg: Config) -> int:
     lines.append(f"{passed} passed, {failed} failed")
     rows: list[Sequence] = [("name", "passed", "detail", "elapsed_s")]
     rows.extend((r.name, r.passed, r.detail, r.elapsed_s) for r in results)
-    _emit(cfg.format, payload, lines, rows)
+    _emit(ns.format, payload, lines, rows)
     return 0 if failed == 0 else 1
 
 
@@ -609,7 +544,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
-        code = ns.func(ns, Config.from_namespace(ns))
+        # a malformed ENDOSCOPYLAB_GUARD is a usage error on every command
+        guard_limit(None, DEFAULT_CHAIN_GUARD)
+        code = ns.func(ns)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -44,8 +44,6 @@ __all__ = [
     "gaussian_binomial",
     "poincare_poly",
     "brute_poincare",
-    "packet_of",
-    "duplicate_of",
     "bipartition_to_json",
     "bipartition_from_json",
 ]
@@ -153,16 +151,6 @@ class PoincarePoly:
     def zero(cls) -> "PoincarePoly":
         return cls(())
 
-    @classmethod
-    def one(cls) -> "PoincarePoly":
-        return cls((1,))
-
-    @classmethod
-    def monomial(cls, degree: int, coeff: int = 1) -> "PoincarePoly":
-        if degree < 0:
-            raise ValueError("degree must be nonnegative")
-        return cls((0,) * degree + (coeff,))
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -208,17 +196,6 @@ class PoincarePoly:
         if self.is_zero:
             return self
         return PoincarePoly((0,) * k + self.coeffs)
-
-    def stretch(self, k: int) -> "PoincarePoly":
-        """Substitute t -> t^k."""
-        if k < 1:
-            raise ValueError("stretch factor must be positive")
-        if self.is_zero or k == 1:
-            return self
-        out = [0] * (k * (len(self.coeffs) - 1) + 1)
-        for i, c in enumerate(self.coeffs):
-            out[k * i] = c
-        return PoincarePoly(tuple(out))
 
     def __call__(self, x):
         value = 0
@@ -497,18 +474,6 @@ def brute_poincare(B: Bipartition, *, guard: int | None = None) -> PoincarePoly:
     for d, count in enumerate(by_area):
         coeffs[R + 2 * d] = count
     return PoincarePoly(tuple(coeffs))
-
-
-def packet_of(
-    P: OrderedPartition | Sequence[int], a: int, b: int, *, guard: int | None = None
-) -> list[Bipartition]:
-    """All members of the packet attached to P on U(a, b), under the chain cap."""
-    return enumerate_bipartitions(a, b, P, guard=guard)
-
-
-def duplicate_of(B: Bipartition) -> Bipartition | None:
-    """Reduced form when B is itself non-reduced, else None."""
-    return None if B.is_reduced else B.reduced()
 
 
 def bipartition_to_json(B: Bipartition) -> dict:

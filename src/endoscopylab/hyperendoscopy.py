@@ -362,9 +362,7 @@ def _linearize(
 
 
 def _resolve_assignment(
-    start: GroupSymbol | None,
-    shape: ArthurShape | None,
-    assignment: Sequence[ArthurShape] | None,
+    shape: ArthurShape | None, assignment: Sequence[ArthurShape] | None
 ) -> tuple[ArthurShape, ...]:
     if assignment is not None:
         factors = tuple(assignment)
@@ -378,16 +376,7 @@ def _resolve_assignment(
     else:
         if shape is None:
             raise ValueError("either a shape or an explicit assignment is required")
-        if start is not None and len(start.ranks) > 1:
-            raise ValueError(
-                "product start needs a declared assignment of blocks to factors"
-            )
         factors = (shape,)
-    if start is not None:
-        if tuple(sorted((f.N for f in factors), reverse=True)) != start.ranks:
-            raise ValueError(
-                f"assignment ranks do not match start symbol {start}"
-            )
     combined = ArthurShape(tuple(s for f in factors for s in f.summands))
     if not is_elliptic(combined):
         raise ValueError(f"shape is not elliptic: {combined}")
@@ -395,7 +384,6 @@ def _resolve_assignment(
 
 
 def enumerate_chains(
-    start: GroupSymbol | None = None,
     shape: ArthurShape | None = None,
     assignment: Sequence[ArthurShape] | None = None,
     *,
@@ -407,7 +395,7 @@ def enumerate_chains(
     the result enumerates per-factor refinement forests; every step separates
     whole blocks and a single-block factor admits no step at all.
     """
-    factors = _resolve_assignment(start, shape, assignment)
+    factors = _resolve_assignment(shape, assignment)
     cap = guard_limit(guard, DEFAULT_CHAIN_GUARD)
     count = 1
     for f in factors:
@@ -579,7 +567,6 @@ def _factor_terms(
 
 
 def chain_expansion(
-    start: GroupSymbol | None = None,
     shape: ArthurShape | None = None,
     assignment: Sequence[ArthurShape] | None = None,
     *,
@@ -591,11 +578,10 @@ def chain_expansion(
     or a root split with a forest on each part, so the chain sum obeys the
     stable recursion and equals :func:`expand_stable`, which computes it.
     """
-    return expand_stable(start, shape, assignment, guard=guard)
+    return expand_stable(shape, assignment, guard=guard)
 
 
 def expand_stable(
-    start: GroupSymbol | None = None,
     shape: ArthurShape | None = None,
     assignment: Sequence[ArthurShape] | None = None,
     *,
@@ -608,7 +594,7 @@ def expand_stable(
     a set partition is the tree sum over its part ranks, and a product
     assignment multiplies the per-factor coefficients.
     """
-    factors = _resolve_assignment(start, shape, assignment)
+    factors = _resolve_assignment(shape, assignment)
     cap = guard_limit(guard, DEFAULT_CHAIN_GUARD)
     count = 1
     for f in factors:
@@ -634,7 +620,6 @@ def expand_stable(
 
 
 def verify_inversion(
-    start: GroupSymbol | None = None,
     shape: ArthurShape | None = None,
     assignment: Sequence[ArthurShape] | None = None,
     *,
@@ -644,10 +629,10 @@ def verify_inversion(
 
     The chain sum here is the enumerated one, chain by chain, and it must
     agree term by term with the kernel of :func:`expand_stable`; for a
-    product start it must also equal the tensor product of the per-factor
-    chain sums.
+    product assignment it must also equal the tensor product of the
+    per-factor chain sums.
     """
-    factors = _resolve_assignment(start, shape, assignment)
+    factors = _resolve_assignment(shape, assignment)
     cs = _chain_sum(factors, guard)
     if cs != expand_stable(assignment=factors, guard=guard):
         return False

@@ -197,14 +197,6 @@ class GroupChar:
             raise ValueError(f"element {element} outside group of rank {self.rank}")
         return -1 if (self.mask & element).bit_count() % 2 else 1
 
-    @property
-    def bits(self) -> tuple[int, ...]:
-        return tuple(self.mask >> i & 1 for i in range(self.rank))
-
-    @classmethod
-    def trivial(cls, rank: int) -> "GroupChar":
-        return cls(rank, 0)
-
 
 def centralizer_group(shape: ArthurShape) -> TwoGroup:
     """Component group of the centralizer of an elliptic shape: rank r - 1."""

@@ -30,7 +30,6 @@ from .cohomology import (
     degree_R,
     enumerate_bipartitions,
     lowest_degree,
-    packet_of,
     poincare_poly,
 )
 from .decay import sx_check
@@ -51,6 +50,7 @@ from .hyperendoscopy import (
 from .params import (
     ArthurShape,
     BlockSignVector,
+    GroupChar,
     Summand,
     centralizer_group,
     from_cohomological,
@@ -65,6 +65,7 @@ __all__ = [
     "brute_coefficients",
     "brute_i_disc",
     "packet_members",
+    "random_packet",
 ]
 
 DEFAULT_SEED = 1729
@@ -93,7 +94,17 @@ def packet_members(max_N: int) -> Iterator[Bipartition]:
     for N in range(1, max_N + 1):
         for P in _compositions(N):
             for a in range(N + 1):
-                yield from packet_of(P, a, N - a)
+                yield from enumerate_bipartitions(a, N - a, P)
+
+
+def random_packet(rng: random.Random, chars: list[GroupChar]) -> PacketModel:
+    """A random subset of the characters with random traces and a random epsilon."""
+    size = rng.randint(1, len(chars))
+    members = tuple(
+        (chi, Fraction(rng.randint(0, 9), rng.randint(1, 9)))
+        for chi in rng.sample(chars, size)
+    )
+    return PacketModel(chars[0].rank, members, rng.choice(chars))
 
 
 def _random_bipartition(rng: random.Random, max_total: int) -> Bipartition:
@@ -137,7 +148,7 @@ def check_degree_formula() -> CheckResult:
         for a in range(0, N // 2 + 1):
             b = N - a
             for k in range(1, N // 2 + 1):
-                packet = packet_of((2 * k,) + (1,) * (N - 2 * k), a, b)
+                packet = enumerate_bipartitions(a, b, (2 * k,) + (1,) * (N - 2 * k))
                 observed = min(degree_R(B) for B in packet)
                 expected = lowest_degree(a, b, k)
                 if observed != expected:
@@ -242,14 +253,7 @@ def check_dominance(seed: int = DEFAULT_SEED) -> CheckResult:
     for _ in range(1000):
         r = rng.randint(1, 5)
         shape = rng.choice(shapes_by_r[r])
-        group = centralizer_group(shape)
-        chars = group.characters()
-        size = rng.randint(1, len(chars))
-        members = tuple(
-            (chi, Fraction(rng.randint(0, 9), rng.randint(1, 9)))
-            for chi in rng.sample(chars, size)
-        )
-        packet = PacketModel(group.rank, members, rng.choice(chars))
+        packet = random_packet(rng, centralizer_group(shape).characters())
         result = dominance_check(shape, packet)
         if not result.holds:
             return CheckResult("dominance", False, f"random violation for {shape}")
@@ -403,7 +407,7 @@ def check_structure_counts() -> CheckResult:
     packet_cases = 0
     for N in range(1, 11):
         for a in range(0, N + 1):
-            size = len(packet_of((1,) * N, a, N - a))
+            size = len(enumerate_bipartitions(a, N - a, (1,) * N))
             if size != math.comb(N, a):
                 return CheckResult(
                     "structure_counts",

@@ -246,3 +246,15 @@ def test_dominance_check_guard_counts_the_table_first():
     single = PacketModel(23, ((GroupChar(23, 0), Fraction(1)),), GroupChar(23, 0))
     with pytest.raises(GuardError):
         dominance_check(wide, single)
+
+
+def test_i_disc_model_guard_reads_env(monkeypatch):
+    shape = from_cohomological((4, 3, 2, 1))  # 2^3 table entries
+    packet = trivial_packet(shape)
+    monkeypatch.setenv("ENDOSCOPYLAB_GUARD", "7")
+    with pytest.raises(GuardError, match="8 entries"):
+        i_disc_model(shape, packet)
+    # an explicit cap on dominance_check still governs its own trace
+    assert dominance_check(shape, packet, guard=8).holds
+    monkeypatch.setenv("ENDOSCOPYLAB_GUARD", "8")
+    assert i_disc_model(shape, packet) == 1

@@ -1,7 +1,9 @@
 """End-to-end CLI behavior through main()."""
 
+import functools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from endoscopylab import cli
-from endoscopylab.selftest import CheckResult
+from endoscopylab.selftest import CheckResult, run_all
 
 SHAPE_21 = '{"summands": [{"label": "c1", "n": 1, "m": 2}, {"label": "c2", "n": 1, "m": 1}]}'
 SHAPE_11 = '{"summands": [{"label": "c1", "n": 1, "m": 1}, {"label": "c2", "n": 1, "m": 1}]}'
@@ -55,14 +57,40 @@ def test_packet_json_agrees_with_table(capsys):
 
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
+PACKET_AND_POINCARE = [c for c in GOLDEN if c["argv"][0] in ("packet", "poincare")]
+OTHER_COMMANDS = [c for c in GOLDEN if c not in PACKET_AND_POINCARE]
 
 
-@pytest.mark.parametrize(
-    "case", GOLDEN, ids=lambda c: " ".join(c["argv"][:1] + c["argv"][-1:])
-)
+def golden_id(case):
+    return " ".join(case["argv"][:1] + case["argv"][-1:])
+
+
+@pytest.mark.parametrize("case", PACKET_AND_POINCARE, ids=golden_id)
 def test_packet_and_poincare_stdout_is_golden(capsys, case):
     code, out, err = run(capsys, *case["argv"])
     assert (code, err) == (0, "")
+    assert out == case["stdout"]
+
+
+def mask_elapsed(out):
+    """Blank the wall-time field of selftest json and csv output."""
+    out = re.sub(r'("elapsed_s": )[-+.0-9eE]+', r'\1"*"', out)
+    return re.sub(r",[0-9][-+.0-9eE]*(\r?)$", r",*\1", out, flags=re.M)
+
+
+@functools.lru_cache(maxsize=None)
+def run_all_once(seed):
+    return run_all(seed)
+
+
+@pytest.mark.parametrize("case", OTHER_COMMANDS, ids=golden_id)
+def test_command_stdout_is_golden(capsys, monkeypatch, case):
+    # the three selftest entries share one run of the checks
+    monkeypatch.setattr(cli, "run_all", run_all_once)
+    code, out, err = run(capsys, *case["argv"])
+    assert (code, err) == (0, "")
+    if case.get("mask") == "elapsed_s":
+        out = mask_elapsed(out)
     assert out == case["stdout"]
 
 
@@ -349,25 +377,17 @@ def test_help_exits_zero(capsys):
     assert "selftest" in out
 
 
-def test_config_defaults_and_validation():
-    cfg = cli.Config()
-    assert cfg.format == "table"
-    assert cfg.brute_guard > 0 and cfg.chain_guard > 0
-    with pytest.raises(ValueError):
-        cli.Config(format="yaml")
-    with pytest.raises(ValueError):
-        cli.Config(chain_guard=0)
-
-
-def test_config_reads_guard_env(monkeypatch):
-    monkeypatch.setenv("ENDOSCOPYLAB_GUARD", "42")
-    cfg = cli.Config.from_namespace(cli.build_parser().parse_args(["selftest"]))
-    assert cfg.chain_guard == 42
-    assert cfg.brute_guard == 42
-
-
 def one_error_line(err):
     return err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_malformed_guard_variable_is_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("ENDOSCOPYLAB_GUARD", value)
+    code, out, err = run(capsys, "sx", "--N", "5", "--k", "2")
+    assert (code, out) == (2, "")
+    assert one_error_line(err)
+    assert "ENDOSCOPYLAB_GUARD" in err
 
 
 def test_poincare_long_pair_prints(capsys):

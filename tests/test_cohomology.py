@@ -18,11 +18,9 @@ from endoscopylab.cohomology import (
     bipartition_to_json,
     brute_poincare,
     degree_R,
-    duplicate_of,
     enumerate_bipartitions,
     gaussian_binomial,
     lowest_degree,
-    packet_of,
     poincare_poly,
 )
 from endoscopylab.guards import GuardError
@@ -53,8 +51,6 @@ def test_reduction():
     B = bp((2, 0), (1, 1), (0, 2))
     assert not B.is_reduced
     assert B.reduced() == bp((1, 0), (1, 0), (1, 1), (0, 1), (0, 1))
-    assert duplicate_of(B) == B.reduced()
-    assert duplicate_of(B.reduced()) is None
 
 
 def test_enumerate_with_partition_is_ordered():
@@ -79,7 +75,7 @@ def test_enumerate_reduced_without_partition():
 def test_discrete_packet_sizes():
     for N in range(1, 8):
         for a in range(N + 1):
-            assert len(packet_of((1,) * N, a, N - a)) == math.comb(N, a)
+            assert len(enumerate_bipartitions(a, N - a, (1,) * N)) == math.comb(N, a)
 
 
 def test_degree_R_discrete_series():
@@ -106,7 +102,7 @@ def test_lowest_degree_validation():
 def test_gaussian_binomial_small():
     assert gaussian_binomial(2, 1) == PoincarePoly((1, 1))
     assert gaussian_binomial(4, 2) == PoincarePoly((1, 1, 2, 1, 1))
-    assert gaussian_binomial(3, 0) == PoincarePoly.one()
+    assert gaussian_binomial(3, 0) == PoincarePoly((1,))
 
 
 @given(st.integers(0, 9).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))))
@@ -123,7 +119,6 @@ def test_poly_arithmetic():
     assert p * p == PoincarePoly((1, 2, 1))
     assert p + PoincarePoly((0, 1)) == PoincarePoly((1, 2))
     assert p.shift(2) == PoincarePoly((0, 0, 1, 1))
-    assert p.stretch(2) == PoincarePoly((1, 0, 1))
     assert p(3) == 4
     assert str(PoincarePoly((1, 0, 2))) == "1 + 2*t^2"
 
@@ -141,7 +136,7 @@ def test_poincare_poly_values():
 
 def test_discrete_series_polynomial_is_monomial():
     B = bp((1, 0), (1, 0), (0, 1))
-    assert poincare_poly(B) == PoincarePoly.monomial(B.a * B.b)
+    assert poincare_poly(B) == PoincarePoly((0,) * (B.a * B.b) + (1,))
 
 
 def test_brute_matches_recurrence():
@@ -193,7 +188,7 @@ def test_kernel_matches_brute_on_every_packet_member():
     "parts,a,size", [((1,) * 16, 7, 11440), ((5, 4, 4, 3, 2, 2), 10, 674)]
 )
 def test_kernel_invariants_on_deck_packet(parts, a, size):
-    members = packet_of(parts, a, sum(parts) - a)
+    members = enumerate_bipartitions(a, sum(parts) - a, parts)
     assert len(members) == size
     for B in members:
         poly = poincare_poly(B)
@@ -216,10 +211,10 @@ def test_packet_counts_match_enumeration():
 
 def test_packet_guard():
     with pytest.raises(GuardError, match="155117520 members"):
-        packet_of((1,) * 30, 15, 15)
+        enumerate_bipartitions(15, 15, (1,) * 30)
     with pytest.raises(GuardError):
-        packet_of((1,) * 5, 2, 3, guard=9)
-    assert len(packet_of((1,) * 5, 2, 3, guard=10)) == 10
+        enumerate_bipartitions(2, 3, (1,) * 5, guard=9)
+    assert len(enumerate_bipartitions(2, 3, (1,) * 5, guard=10)) == 10
     with pytest.raises(GuardError):
         enumerate_bipartitions(3, 3, guard=100)
     assert len(enumerate_bipartitions(3, 3, guard=1000)) == len(
@@ -230,8 +225,8 @@ def test_packet_guard():
 def test_packet_guard_reads_env(monkeypatch):
     monkeypatch.setenv("ENDOSCOPYLAB_GUARD", "9")
     with pytest.raises(GuardError):
-        packet_of((1,) * 5, 2, 3)
-    assert len(packet_of((1,) * 5, 2, 3, guard=10)) == 10
+        enumerate_bipartitions(2, 3, (1,) * 5)
+    assert len(enumerate_bipartitions(2, 3, (1,) * 5, guard=10)) == 10
 
 
 @pytest.mark.parametrize(
