@@ -199,14 +199,24 @@ def _cmd_chains(ns: argparse.Namespace) -> int:
         return 0
     chains = enumerate_chains(shape=shape)
     expansion = chain_expansion(shape=shape)
-    payload["chains"] = []
+    want_json = ns.format == "json"
+    if want_json:
+        payload["chains"] = []
     lines.append(f"refinement chains for {shape} on U({shape.N}):")
     rows.append(("depth", "iota", "terminal", "steps"))
+    # the chains share their ChainStep objects, and the list keeps them alive,
+    # so each distinct step is rendered once, keyed by its id
+    step_text: dict[int, str] = {}
+    step_json: dict[int, dict] = {}
     for chain in chains:
-        steps_str = "; ".join(
-            f"factor {step.factor}: {step.datum} [{step.split}]"
-            for step in chain.steps
-        )
+        texts = []
+        for step in chain.steps:
+            text = step_text.get(id(step))
+            if text is None:
+                text = f"factor {step.factor}: {step.datum} [{step.split}]"
+                step_text[id(step)] = text
+            texts.append(text)
+        steps_str = "; ".join(texts)
         value = chain_iota(chain)
         terminal = str(chain.terminal)
         lines.append(
@@ -214,21 +224,25 @@ def _cmd_chains(ns: argparse.Namespace) -> int:
             + (f"  ({steps_str})" if steps_str else "")
         )
         rows.append((chain.depth, _num_str(value), terminal, steps_str))
-        payload["chains"].append(
-            {
-                "depth": chain.depth,
-                "iota": num_json(value),
-                "terminal": terminal,
-                "steps": [
-                    {
+        if want_json:
+            steps = []
+            for step in chain.steps:
+                entry = step_json.get(id(step))
+                if entry is None:
+                    entry = step_json[id(step)] = {
                         "factor": step.factor,
                         "datum": datum_to_json(step.datum),
                         "split": split_to_json(step.split),
                     }
-                    for step in chain.steps
-                ],
-            }
-        )
+                steps.append(entry)
+            payload["chains"].append(
+                {
+                    "depth": chain.depth,
+                    "iota": num_json(value),
+                    "terminal": terminal,
+                    "steps": steps,
+                }
+            )
     payload["expansion"] = _expansion_json(expansion)
     lines.append("chain-sum expansion:")
     lines += _expansion_lines(expansion)

@@ -82,8 +82,16 @@ class Bipartition:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        pairs = tuple((x, y) for x, y in self.pairs)
-        object.__setattr__(self, "pairs", pairs)
+        pairs = self.pairs
+        # a tuple of 2-tuples is kept, so the members of a packet share their
+        # pair objects; anything else is rebuilt, which rejects non-pairs
+        if not (
+            type(pairs) is tuple
+            and {tuple}.issuperset(map(type, pairs))
+            and {2}.issuperset(map(len, pairs))
+        ):
+            pairs = tuple((x, y) for x, y in pairs)
+            object.__setattr__(self, "pairs", pairs)
         if not pairs:
             raise ValueError("a bipartition needs at least one pair")
         if not _exact_ints(chain.from_iterable(pairs)):
@@ -271,6 +279,8 @@ def enumerate_bipartitions(
         suffix_totals[i] = suffix_totals[i + 1] + parts[i]
 
     out: list[Bipartition] = []
+    # one (a_i, b_i) tuple per position and a_i, shared by every member
+    options = [[(a_i, n - a_i) for a_i in range(n + 1)] for n in parts]
 
     def assign(i: int, a_rem: int, chosen: list[tuple[int, int]]) -> None:
         if i == len(parts):
@@ -280,7 +290,7 @@ def enumerate_bipartitions(
         hi = min(parts[i], a_rem)
         lo = max(0, a_rem - (suffix_totals[i + 1]))
         for a_i in range(hi, lo - 1, -1):
-            chosen.append((a_i, parts[i] - a_i))
+            chosen.append(options[i][a_i])
             assign(i + 1, a_rem - a_i, chosen)
             chosen.pop()
 

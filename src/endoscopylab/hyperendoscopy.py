@@ -25,17 +25,23 @@ numerator over 4^(parts - 1).  The memo lives for one call, and a product
 assignment multiplies the per-factor coefficients.  The work is Bell(r)
 terms per factor, which the chain guard caps before anything runs.
 
-The independent oracle is the enumerated chain sum: :func:`enumerate_chains`
-builds every refinement forest from position-level plans (cached by block
-count only), and :func:`verify_inversion` sums them chain by chain, checks
-the recursion with that sum, and compares it with the kernel term by term.
-The oracle stays independent because it never groups trees: it visits every
-chain, replays its steps into terminal parts and weighs it by the product of
-its own steps' iota values, so a wrong tree weight or a wrong part in the
-kernel cannot hide in both.  It is kept cheap per chain without sharing any
-of that: the weight is an int numerator and denominator, each part's
-canonical shape and sort key come from a dict that lives for one call, and
-each term becomes a Fraction once, after its chains are summed as ints.
+The independent oracle is the enumerated chain sum.  Both it and
+:func:`enumerate_chains` take every refinement forest from the same plans:
+per block count r (the only cache key), every binary tree over the bit
+positions 0..r-1, a node holding the two submasks of its split and a leaf
+the mask of its part.  :func:`enumerate_chains` turns each choice of one
+plan per factor into a :class:`HyperChain`, handing out one shared
+:class:`ChainStep` per step position and split.  :func:`verify_inversion`
+instead walks each choice as an integer record: the leaves give the chain's
+terminal parts as masks over all the factors' blocks, and the nodes give its
+steps, each worth -iota of the split :func:`make_split` makes of its blocks.
+The record walk streams, sums the chains term by term as ints, checks the
+recursion with that sum and compares it with the kernel term by term.  It
+stays independent because it never groups trees: it visits every chain and
+weighs it by the product of its own steps' iota values, so a wrong tree
+weight or a wrong part in the kernel cannot hide in both.  A dict that lives
+for one call keeps each distinct split's iota, and each term becomes a
+canonical factor tuple and a Fraction once, after its chains are summed.
 """
 
 from __future__ import annotations
@@ -272,10 +278,11 @@ class FormalDist:
         return "FormalDist(" + " + ".join(parts) + ")"
 
 
-# A refinement plan for one factor of r blocks, over block positions 0..r-1:
-# None is a leaf; otherwise the chosen split (T, Tc) of a part's positions
-# plus plans for the two parts.
-_Plan = Union[None, tuple[tuple[int, ...], tuple[int, ...], "_Plan", "_Plan"]]
+# A refinement plan for one factor of r blocks, over block positions 0..r-1
+# taken as bits of a mask: a leaf is the int mask of its part; otherwise the
+# chosen split (T, Tc) of a part's mask into two submasks plus plans for the
+# two parts.
+_Plan = Union[int, tuple[int, int, "_Plan", "_Plan"]]
 
 
 @lru_cache(maxsize=None)
@@ -301,26 +308,41 @@ def _plan_count(r: int) -> int:
     return total
 
 
+def _positions(mask: int) -> tuple[int, ...]:
+    """The set bits of a mask, lowest first."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _split_at(
+    shape: ArthurShape, T: int, Tc: int
+) -> tuple[tuple[Summand, ...], ParameterSplit]:
+    """The blocks at mask T, and :func:`make_split` of them against those at Tc."""
+    blocks = shape.summands
+    lead = tuple(map(blocks.__getitem__, _positions(T)))
+    return lead, make_split(lead, tuple(map(blocks.__getitem__, _positions(Tc))))
+
+
 @lru_cache(maxsize=None)
 def _plans(r: int) -> tuple[_Plan, ...]:
     """Every refinement forest on one factor of r blocks, over positions 0..r-1."""
-    memo: dict[tuple[int, ...], tuple[_Plan, ...]] = {}
+    memo: dict[int, tuple[_Plan, ...]] = {}
 
-    def plans_of(positions: tuple[int, ...]) -> tuple[_Plan, ...]:
-        cached = memo.get(positions)
+    def plans_of(mask: int) -> tuple[_Plan, ...]:
+        cached = memo.get(mask)
         if cached is not None:
             return cached
-        out: list[_Plan] = [None]
+        positions = _positions(mask)
+        out: list[_Plan] = [mask]
         for t, tc in _proper_splits(len(positions)):
-            T = tuple(positions[i] for i in t)
-            Tc = tuple(positions[i] for i in tc)
+            T = sum(1 << positions[i] for i in t)
+            Tc = mask ^ T
             for plan_t in plans_of(T):
                 for plan_c in plans_of(Tc):
                     out.append((T, Tc, plan_t, plan_c))
-        memo[positions] = result = tuple(out)
+        memo[mask] = result = tuple(out)
         return result
 
-    return plans_of(tuple(range(r)))
+    return plans_of((1 << r) - 1)
 
 
 def _linearize(
@@ -328,36 +350,37 @@ def _linearize(
 ) -> tuple[ChainStep, ...]:
     """Depth-first canonical step order; indices refer to the evolving list.
 
+    The trees are walked in preorder, the plan of each split's part1 first,
+    so a step's index is the number of leaves already passed.
     ``splits`` keeps, for one enumeration, the datum and split made at each
-    (factor, T, Tc) plan node and whether T came out as part1.
+    (factor, T, Tc) plan node, whether T came out as part1, and one
+    :class:`ChainStep` per index the node is applied at; the steps are
+    immutable, so every chain of the enumeration shares them.
     """
-    work: list[tuple[int, _Plan]] = list(enumerate(plans))
     steps: list[ChainStep] = []
-
-    def expand(i: int) -> int:
-        f, plan = work[i]
-        if plan is None:
-            return 1
+    stack: list[tuple[int, _Plan]] = list(enumerate(plans))
+    stack.reverse()
+    index = 0
+    while stack:
+        f, plan = stack.pop()
+        if plan.__class__ is int:
+            index += 1
+            continue
         T, Tc, plan_t, plan_c = plan
         key = (f, T, Tc)
         known = splits.get(key)
         if known is None:
-            blocks = assignment[f].summands
-            lead = tuple(map(blocks.__getitem__, T))
-            split = make_split(lead, tuple(map(blocks.__getitem__, Tc)))
-            splits[key] = known = (split.datum, split, split.part1 == lead)
-        datum, split, lead_first = known
-        first, second = (plan_t, plan_c) if lead_first else (plan_c, plan_t)
-        steps.append(ChainStep(i, datum, split))
-        work[i] = (f, first)
-        work.insert(i + 1, (f, second))
-        c1 = expand(i)
-        c2 = expand(i + c1)
-        return c1 + c2
-
-    pos = 0
-    for _ in range(len(assignment)):
-        pos += expand(pos)
+            lead, split = _split_at(assignment[f], T, Tc)
+            splits[key] = known = (split.datum, split, split.part1 == lead, {})
+        datum, split, lead_first, at = known
+        step = at.get(index)
+        if step is None:
+            at[index] = step = ChainStep(index, datum, split)
+        steps.append(step)
+        if lead_first:
+            stack += ((f, plan_c), (f, plan_t))
+        else:
+            stack += ((f, plan_t), (f, plan_c))
     return tuple(steps)
 
 
@@ -383,6 +406,18 @@ def _resolve_assignment(
     return factors
 
 
+def _check_chain_count(factors: tuple[ArthurShape, ...], guard: int | None) -> None:
+    """Refuse, before any work, more chains than the cap (``guard``, else the env)."""
+    cap = guard_limit(guard, DEFAULT_CHAIN_GUARD)
+    count = 1
+    for f in factors:
+        count *= _plan_count(f.r)
+    if count > cap:
+        raise GuardError(
+            f"chain enumeration would produce {count} chains, above the cap {cap}"
+        )
+
+
 def enumerate_chains(
     shape: ArthurShape | None = None,
     assignment: Sequence[ArthurShape] | None = None,
@@ -396,83 +431,95 @@ def enumerate_chains(
     whole blocks and a single-block factor admits no step at all.
     """
     factors = _resolve_assignment(shape, assignment)
-    cap = guard_limit(guard, DEFAULT_CHAIN_GUARD)
-    count = 1
-    for f in factors:
-        count *= _plan_count(f.r)
-    if count > cap:
-        raise GuardError(
-            f"chain enumeration would produce {count} chains, above the cap {cap}"
-        )
-    chains: list[HyperChain] = []
+    _check_chain_count(factors, guard)
     splits: dict = {}
-
-    def recurse(index: int, chosen: list[_Plan]) -> None:
-        if index == len(factors):
-            chains.append(HyperChain(factors, _linearize(factors, chosen, splits)))
-            return
-        for plan in _plans(factors[index].r):
-            chosen.append(plan)
-            recurse(index + 1, chosen)
-            chosen.pop()
-
-    recurse(0, [])
-    return chains
+    return [
+        HyperChain(factors, _linearize(factors, chosen, splits))
+        for chosen in product(*(_plans(f.r) for f in factors))
+    ]
 
 
-def _chain_weight(chain: HyperChain) -> tuple[int, int]:
-    """Numerator and denominator of :func:`chain_iota`, as ints, not reduced."""
+def chain_iota(chain: HyperChain) -> Fraction:
+    """(-1)^depth times the product of the per-step iota factors."""
     num = den = 1
     for step in chain.steps:
         value = iota(step.datum)
         num *= value.numerator
         den *= value.denominator
-    return (-num if len(chain.steps) % 2 else num), den
-
-
-def chain_iota(chain: HyperChain) -> Fraction:
-    """(-1)^depth times the product of the per-step iota factors."""
-    return Fraction(*_chain_weight(chain))
+    return Fraction(-num if len(chain.steps) % 2 else num, den)
 
 
 def _chain_sum(
     factors: tuple[ArthurShape, ...], guard: int | None
 ) -> FormalDist:
-    """Sum of iota(chain) * I^{terminal}, chain by chain over enumerate_chains.
+    """Sum of iota(chain) * I^{terminal}, walked chain by chain as integer records.
 
     This is the independent oracle that :func:`verify_inversion` holds the
-    kernel to: every chain is replayed into its terminal parts and weighed
-    by its own steps' iota values, so nothing of the kernel's subset
-    recursion is used.  Per call, a dict keeps each part's canonical shape
-    and sort key, and each term sums its chain weights as an int numerator
-    over the lcm of their denominators, becoming a Fraction once at the end.
+    kernel to.  It takes every chain that :func:`enumerate_chains` gives,
+    one :func:`_plans` tree per factor, without building its objects: block
+    p of a factor is bit offset + p of a mask over all the factors' blocks,
+    a leaf of a tree is one terminal part as such a mask, and a node is one
+    step, worth -iota of :func:`make_split` on its two sides.  Each chain's
+    weight is the product over its own nodes as an int numerator and
+    denominator, and nothing of the kernel's subset recursion is used.  The
+    chains stream: within one call, a dict keyed by int holds each distinct
+    split's weight, and a dict keyed by the sorted part masks sums each
+    term's weights over the lcm of their denominators.  Canonical factor
+    tuples and Fractions are made once per term, at the end.
     """
-    parts_seen: dict[tuple[Summand, ...], tuple[tuple, ArthurShape]] = {}
-    sums: dict[tuple, list[int]] = {}  # term's sort keys -> [numerator, denominator]
-    shapes: dict[tuple, FactorKey] = {}
-    for chain in enumerate_chains(assignment=factors, guard=guard):
-        parts = []
-        for part in _replay(chain):
-            known = parts_seen.get(part)
-            if known is None:
-                canon = ArthurShape(part).canonical()
-                parts_seen[part] = known = (_factor_key(canon), canon)
-            parts.append(known)
-        parts.sort(key=itemgetter(0))
-        key = tuple(k for k, _ in parts)
-        num, den = _chain_weight(chain)
-        acc = sums.get(key)
+    _check_chain_count(factors, guard)
+    walks = []  # per factor: shape, block count, bit offset, split weights
+    start = 0
+    for f in factors:
+        walks.append((f, f.r, start, {}))
+        start += f.r
+    sums: dict[tuple[int, ...], list[int]] = {}  # sorted part masks -> [num, den]
+    for chosen in product(*(_plans(f.r) for f in factors)):
+        parts: list[int] = []
+        num = den = 1
+        for plan, (shape, r, offset, weights) in zip(chosen, walks):
+            nodes = [plan]
+            while nodes:
+                node = nodes.pop()
+                if node.__class__ is int:
+                    parts.append(node << offset)
+                    continue
+                T, Tc, plan_t, plan_c = node
+                key = T | Tc << r
+                w = weights.get(key)
+                if w is None:
+                    value = iota(_split_at(shape, T, Tc)[1].datum)
+                    weights[key] = w = (-value.numerator, value.denominator)
+                num *= w[0]
+                den *= w[1]
+                nodes += (plan_t, plan_c)
+        parts.sort()
+        term = tuple(parts)
+        acc = sums.get(term)
         if acc is None:
-            sums[key] = [num, den]
-            shapes[key] = tuple(canon for _, canon in parts)
+            sums[term] = [num, den]
         else:
             common = lcm(acc[1], den)
             acc[0] = acc[0] * (common // acc[1]) + num * (common // den)
             acc[1] = common
+    blocks = [b for f in factors for b in f.summands]
+    canon: dict[int, tuple[tuple, ArthurShape]] = {}
+    terms: dict[FactorKey, Fraction] = {}
+    for term, (num, den) in sums.items():
+        if not num:
+            continue
+        shapes = []
+        for mask in term:
+            known = canon.get(mask)
+            if known is None:
+                picked = map(blocks.__getitem__, _positions(mask))
+                part = ArthurShape(tuple(sorted(picked)))
+                canon[mask] = known = (_factor_key(part), part)
+            shapes.append(known)
+        shapes.sort(key=itemgetter(0))
+        terms[tuple(part for _, part in shapes)] = Fraction(num, den)
     result = FormalDist()
-    result._terms = {
-        shapes[key]: Fraction(num, den) for key, (num, den) in sums.items() if num
-    }
+    result._terms = terms
     return result
 
 
@@ -627,8 +674,9 @@ def verify_inversion(
 ) -> bool:
     """Substitute the chain sum back into the recursion; exact identity check.
 
-    The chain sum here is the enumerated one, chain by chain, and it must
-    agree term by term with the kernel of :func:`expand_stable`; for a
+    The chain sum here is the enumerated one, walked chain by chain as
+    integer records without building chain objects, and it must agree term
+    by term with the kernel of :func:`expand_stable`; for a
     product assignment it must also equal the tensor product of the
     per-factor chain sums.
     """

@@ -43,7 +43,10 @@ from .endoscopy import (
     iota,
 )
 from .hyperendoscopy import (
+    FormalDist,
     _chain_sum,
+    chain_iota,
+    enumerate_chains,
     expand_stable,
     verify_inversion,
 )
@@ -64,6 +67,7 @@ __all__ = [
     "DEFAULT_SEED",
     "brute_coefficients",
     "brute_i_disc",
+    "hyperchain_sum",
     "packet_members",
     "random_packet",
 ]
@@ -286,11 +290,21 @@ _PRODUCT_ASSIGNMENT = (
 )
 
 
+def hyperchain_sum(factors: tuple[ArthurShape, ...]) -> FormalDist:
+    """iota(chain) * I^{terminal} summed over the :class:`HyperChain` objects."""
+    return FormalDist(
+        (chain.terminal_factors(), chain_iota(chain))
+        for chain in enumerate_chains(assignment=factors)
+    )
+
+
 def check_inversion() -> CheckResult:
     """Criterion 4: kernel == enumerated chain sum, dyadic, unit leading coefficient.
 
     Covers every U(N) shape with N <= 6, a labelled shape with n > 1 blocks
-    and a product assignment.
+    and a product assignment.  On the cases with at most 4 blocks the
+    enumerated sum, walked as integer records, is also held to
+    :func:`hyperchain_sum` over the chain objects.
     """
     cases: list[tuple[str, tuple[ArthurShape, ...]]] = [
         (str(parts), (from_cohomological(parts),))
@@ -301,10 +315,18 @@ def check_inversion() -> CheckResult:
     cases.append(
         (" x ".join(str(f) for f in _PRODUCT_ASSIGNMENT), _PRODUCT_ASSIGNMENT)
     )
+    crossed = 0
     for name, factors in cases:
         rec = expand_stable(assignment=factors)
-        if rec != _chain_sum(factors, None):
+        oracle = _chain_sum(factors, None)
+        if rec != oracle:
             return CheckResult("inversion", False, f"expansion mismatch at {name}")
+        if sum(f.r for f in factors) <= 4:
+            crossed += 1
+            if oracle != hyperchain_sum(factors):
+                return CheckResult(
+                    "inversion", False, f"record walk differs from the chains at {name}"
+                )
         if not verify_inversion(assignment=factors):
             return CheckResult("inversion", False, f"inversion fails at {name}")
         for _, coeff in rec.items():
@@ -319,7 +341,8 @@ def check_inversion() -> CheckResult:
         "inversion",
         True,
         f"{len(cases)} cases: all U(N) shapes with N<=6, a labelled shape "
-        "and a product assignment, kernel equal to the enumerated chain sum",
+        "and a product assignment, kernel equal to the enumerated chain sum, "
+        f"which equals the HyperChain sum on the {crossed} with r<=4",
     )
 
 

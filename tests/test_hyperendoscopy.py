@@ -1,7 +1,7 @@
 """Refinement chains, formal distributions, and the inversion identity."""
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -254,3 +254,70 @@ def test_planted_iota_fault_fails_verify_inversion(monkeypatch):
         hyperendoscopy, "iota", lambda datum: swapped.get(iota(datum), iota(datum))
     )
     assert not verify_inversion(shape=shape)
+
+
+def literal_chain_sum(factors):
+    """iota(chain) * I^{terminal}, summed over the public chain objects."""
+    return FormalDist(
+        (chain.terminal_factors(), chain_iota(chain))
+        for chain in enumerate_chains(assignment=factors)
+    )
+
+
+# every composition with parts <= 3 and r <= 5, in every order of its parts
+COMPOSITIONS = [c for r in range(1, 6) for c in product((1, 2, 3), repeat=r)]
+
+
+def test_record_oracle_equals_the_literal_chain_sum():
+    cases = [(from_cohomological(c),) for c in COMPOSITIONS]
+    for factors in cases + [(LABELLED,), PRODUCT]:
+        assert _chain_sum(factors, None) == literal_chain_sum(factors), factors
+
+
+def test_planted_dropped_plan_fails_verify_inversion(monkeypatch):
+    shape = from_cohomological((2, 1, 1, 1))
+    assert verify_inversion(shape=shape)
+    plans = hyperendoscopy._plans
+
+    def one_plan_short(r):
+        return plans(r)[:-1] if r == shape.r else plans(r)
+
+    monkeypatch.setattr(hyperendoscopy, "_plans", one_plan_short)
+    assert not verify_inversion(shape=shape)
+
+
+def test_chains_share_their_steps():
+    chains = enumerate_chains(shape=from_cohomological((3, 2, 2, 1, 1, 1)))
+    steps = [step for chain in chains for step in chain.steps]
+    assert len(steps) == 14521
+    assert len({id(step) for step in steps}) * 10 < len(steps)
+
+
+def test_record_oracle_builds_no_chain_objects(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the record walk built a chain object")
+
+    for name in ("HyperChain", "ChainStep", "enumerate_chains"):
+        monkeypatch.setattr(hyperendoscopy, name, refuse)
+    assert verify_inversion(shape=from_cohomological((2, 2, 1, 1, 1)))
+    assert verify_inversion(assignment=PRODUCT)
+
+
+def test_verify_inversion_leaves_the_caches_keyed_by_block_count():
+    caches = [f for f in vars(hyperendoscopy).values() if hasattr(f, "cache_info")]
+    for name in ("_plans", "_proper_splits", "_split_pickers"):
+        assert getattr(hyperendoscopy, name) in caches
+    for cache in caches:
+        cache.cache_clear()
+
+    def fresh(k):
+        return ArthurShape(
+            tuple(Summand(f"f{k}b{i}", 1, m) for i, m in enumerate((3, 2, 2, 1, 1, 1)))
+        )
+
+    assert verify_inversion(shape=fresh(0))
+    after_one = [cache.cache_info().currsize for cache in caches]
+    assert verify_inversion(shape=fresh(1))
+    assert verify_inversion(shape=fresh(2))
+    after_three = [cache.cache_info().currsize for cache in caches]
+    assert all(three <= one for three, one in zip(after_three, after_one))
