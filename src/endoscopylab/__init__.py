@@ -6,78 +6,43 @@ chains and the inversion of the stable recursion, cohomological packets
 with their Poincare polynomials, decay profiles, and the step-by-step
 exponent derivation.  The ``endoscopylab`` console script exposes each
 piece; ``selftest`` runs the acceptance checks.
+
+Importing the package loads no submodule.  A public name of a submodule's
+``__all__`` (``endoscopylab.expand_stable``, ``from endoscopylab import
+Bipartition``) imports the submodules it needs on first use (PEP 562).
 """
 
-from .params import (
-    ArthurShape,
-    BlockSignVector,
-    GroupChar,
-    Summand,
-    TwoGroup,
-    centralizer_group,
-    from_cohomological,
-    is_elliptic,
-    s_psi,
-    shape_from_json,
-    shape_to_json,
-)
-from .endoscopy import (
-    EndoscopicDatum,
-    InnerFormSpec,
-    ParameterSplit,
-    bijection,
-    check_inner_form,
-    dominant_group,
-    elliptic_data,
-    global_kottwitz_product,
-    iota,
-    kottwitz_sign_padic,
-    kottwitz_sign_real,
-    make_split,
-)
-from .guards import GuardError
-from .hyperendoscopy import (
-    ChainStep,
-    FormalDist,
-    GroupSymbol,
-    HyperChain,
-    chain_expansion,
-    chain_iota,
-    dominant_contribution,
-    enumerate_chains,
-    expand_stable,
-    verify_inversion,
-)
-from .cohomology import (
-    Bipartition,
-    OrderedPartition,
-    PoincarePoly,
-    brute_poincare,
-    degree_R,
-    enumerate_bipartitions,
-    gaussian_binomial,
-    lowest_degree,
-    poincare_poly,
-)
-from .decay import (
-    DecayProfile,
-    SxResult,
-    p_bound_of_bipartition,
-    ratio_profile,
-    sx_check,
-)
-from .bounds import (
-    Derivation,
-    DerivationStep,
-    DominanceResult,
-    PacketModel,
-    coefficient_sum,
-    derive_exponent,
-    dominance_check,
-    i_disc_model,
-    savin_exponent,
-    stable_coefficient,
-)
-from .selftest import ALL_CHECKS, CheckResult, run_all
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
+
+# Dependency order: resolving a name imports the modules up to the one that
+# exports it, and those import nothing later in the list.
+_MODULES = (
+    "guards",
+    "params",
+    "cohomology",
+    "decay",
+    "endoscopy",
+    "hyperendoscopy",
+    "bounds",
+    "selftest",
+)
+
+
+def __getattr__(name: str):
+    # private names and submodules (cli included) are left to the import system
+    if not name.startswith("_") and name not in _MODULES and name != "cli":
+        for module in _MODULES:
+            mod = _import_module(f"{__name__}.{module}")
+            if name in mod.__all__:
+                value = globals()[name] = getattr(mod, name)
+                return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    names = set(globals())
+    for module in _MODULES:
+        names.update(_import_module(f"{__name__}.{module}").__all__)
+    return sorted(names)

@@ -27,6 +27,7 @@ from .params import (
     TwoGroup,
     centralizer_group,
     from_cohomological,
+    num_json,
     s_psi,
 )
 
@@ -41,17 +42,7 @@ __all__ = [
     "dominance_check",
     "derive_exponent",
     "savin_exponent",
-    "num_json",
 ]
-
-
-def num_json(value):
-    """Exact JSON rendering: an integral Fraction becomes an int, a proper one "p/q"."""
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return int(value)
-        return f"{value.numerator}/{value.denominator}"
-    return value
 
 
 @dataclass(frozen=True)

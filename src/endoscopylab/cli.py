@@ -13,39 +13,17 @@ import json
 import os
 import random
 import sys
-from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .bounds import derive_exponent, dominance_check, num_json
-from .cohomology import (
-    Bipartition,
-    PoincarePoly,
-    bipartition_from_json,
-    bipartition_to_json,
-    degree_R,
-    enumerate_bipartitions,
-    poincare_poly,
-)
-from .decay import p_bound_of_bipartition, ratio_profile, sx_check
-from .endoscopy import (
-    _guarded_sign_group,
-    bijection,
-    datum_to_json,
-    dominant_group,
-    elliptic_data,
-    iota,
-    split_to_json,
-)
-from .guards import DEFAULT_CHAIN_GUARD, GuardError, guard_limit
-from .hyperendoscopy import (
-    GroupSymbol,
-    chain_expansion,
-    chain_iota,
-    dominant_contribution,
-    enumerate_chains,
-)
-from .params import ArthurShape, s_psi, shape_from_json, shape_to_json
-from .selftest import DEFAULT_SEED, random_packet, run_all
+# Library modules are imported inside the commands, so a process loads only
+# what its command uses.
+from .guards import DEFAULT_CHAIN_GUARD, DEFAULT_SEED, GuardError, guard_limit
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .cohomology import Bipartition, PoincarePoly
+    from .params import ArthurShape
 
 __all__ = ["main", "build_parser"]
 
@@ -67,26 +45,21 @@ def _load_json_text(text: str):
 
 
 def _shape_arg(text: str) -> ArthurShape:
+    from .params import shape_from_json
+
     return shape_from_json(_load_json_text(text))
 
 
 def _bipartition_arg(text: str) -> Bipartition:
+    from .cohomology import bipartition_from_json
+
     return bipartition_from_json(_load_json_text(text))
 
 
-def _num_str(value) -> str:
-    return str(num_json(value))
-
-
-def _factors_str(factors: Sequence[ArthurShape]) -> str:
-    if not factors:
-        return "1"
-    group = GroupSymbol.of_factors(factors)
-    inner = " | ".join(str(f) for f in factors)
-    return f"{group} [{inner}]"
-
-
 def _expansion_json(dist) -> list[dict]:
+    from .hyperendoscopy import GroupSymbol
+    from .params import num_json, shape_to_json
+
     return [
         {
             "coefficient": num_json(coeff),
@@ -98,9 +71,15 @@ def _expansion_json(dist) -> list[dict]:
 
 
 def _expansion_lines(dist) -> list[str]:
-    return [
-        f"  {_num_str(coeff):>8}  I^{{{_factors_str(key)}}}" for key, coeff in dist.items()
-    ]
+    from .hyperendoscopy import GroupSymbol
+
+    lines = []
+    for key, coeff in dist.items():
+        factors = (
+            f"{GroupSymbol.of_factors(key)} [{' | '.join(map(str, key))}]" if key else "1"
+        )
+        lines.append(f"  {coeff!s:>8}  I^{{{factors}}}")
+    return lines
 
 
 def _emit(fmt: str, payload: dict, lines: list[str], rows: list[Sequence]) -> None:
@@ -117,6 +96,9 @@ def _emit(fmt: str, payload: dict, lines: list[str], rows: list[Sequence]) -> No
 
 
 def _cmd_endoscopy(ns: argparse.Namespace) -> int:
+    from .endoscopy import bijection, datum_to_json, elliptic_data, iota, split_to_json
+    from .params import num_json, s_psi, shape_to_json
+
     data = elliptic_data(ns.N)
     payload: dict = {
         "N": ns.N,
@@ -128,8 +110,8 @@ def _cmd_endoscopy(ns: argparse.Namespace) -> int:
     rows: list[Sequence] = [("n1", "n2", "iota", "kappa1", "kappa2")]
     for d in data:
         k1, k2 = d.kappa
-        lines.append(f"  {d}  iota={_num_str(iota(d))}  kappa=({k1:+d},{k2:+d})")
-        rows.append((d.n1, d.n2, _num_str(iota(d)), k1, k2))
+        lines.append(f"  {d}  iota={iota(d)!s}  kappa=({k1:+d},{k2:+d})")
+        rows.append((d.n1, d.n2, str(iota(d)), k1, k2))
     if ns.shape is not None:
         shape = _shape_arg(ns.shape)
         if shape.N != ns.N:
@@ -146,9 +128,9 @@ def _cmd_endoscopy(ns: argparse.Namespace) -> int:
             datum, split = table[s]
             mark = "  <-- s_psi" if s == center else ""
             lines.append(
-                f"  {s}  ->  {datum}  iota={_num_str(iota(datum))}  [{split}]{mark}"
+                f"  {s}  ->  {datum}  iota={iota(datum)!s}  [{split}]{mark}"
             )
-            rows.append((str(s), datum.n1, datum.n2, _num_str(iota(datum)), s == center))
+            rows.append((str(s), datum.n1, datum.n2, str(iota(datum)), s == center))
             payload["table"].append(
                 {
                     "s": str(s),
@@ -163,6 +145,16 @@ def _cmd_endoscopy(ns: argparse.Namespace) -> int:
 
 
 def _cmd_chains(ns: argparse.Namespace) -> int:
+    from .endoscopy import datum_to_json, dominant_group, iota, split_to_json
+    from .hyperendoscopy import (
+        GroupSymbol,
+        chain_expansion,
+        chain_iota,
+        dominant_contribution,
+        enumerate_chains,
+    )
+    from .params import num_json, s_psi, shape_to_json
+
     shape = _shape_arg(ns.shape)
     if ns.N is not None and shape.N != ns.N:
         raise ValueError(f"shape has N={shape.N}, but --N {ns.N} was given")
@@ -184,7 +176,7 @@ def _cmd_chains(ns: argparse.Namespace) -> int:
             datum, split = dominant_group(shape)
             lines.append(
                 f"dominant group {datum} at s_psi = {center}, "
-                f"iota={_num_str(iota(datum))}, split [{split}]:"
+                f"iota={iota(datum)!s}, split [{split}]:"
             )
             payload["dominant_datum"] = datum_to_json(datum)
             payload["dominant_split"] = split_to_json(split)
@@ -192,7 +184,7 @@ def _cmd_chains(ns: argparse.Namespace) -> int:
         lines += _expansion_lines(expansion)
         rows.append(("coefficient", "group", "factors"))
         rows.extend(
-            (_num_str(coeff), str(GroupSymbol.of_factors(key)), " | ".join(map(str, key)))
+            (str(coeff), str(GroupSymbol.of_factors(key)), " | ".join(map(str, key)))
             for key, coeff in expansion.items()
         )
         _emit(ns.format, payload, lines, rows)
@@ -220,10 +212,10 @@ def _cmd_chains(ns: argparse.Namespace) -> int:
         value = chain_iota(chain)
         terminal = str(chain.terminal)
         lines.append(
-            f"  depth {chain.depth}  iota={_num_str(value):>6}  {terminal}"
+            f"  depth {chain.depth}  iota={value!s:>6}  {terminal}"
             + (f"  ({steps_str})" if steps_str else "")
         )
-        rows.append((chain.depth, _num_str(value), terminal, steps_str))
+        rows.append((chain.depth, str(value), terminal, steps_str))
         if want_json:
             steps = []
             for step in chain.steps:
@@ -261,6 +253,8 @@ def _parse_partition(text: str) -> tuple[int, ...]:
 
 
 def _member_json(B: Bipartition, R: int, poly: PoincarePoly) -> dict:
+    from .cohomology import bipartition_to_json
+
     return {
         **bipartition_to_json(B),
         "R": R,
@@ -270,17 +264,21 @@ def _member_json(B: Bipartition, R: int, poly: PoincarePoly) -> dict:
 
 
 def _cmd_packet(ns: argparse.Namespace) -> int:
+    from .cohomology import degree_R, enumerate_bipartitions, poincare_poly
+
     parts = _parse_partition(ns.P)
     members = enumerate_bipartitions(ns.a, ns.b, parts)
     lines = [
         f"packet of P={list(parts)} on U({ns.a},{ns.b}): {len(members)} members"
     ]
     rows: list[Sequence] = [("pairs", "R", "poincare", "reduced")]
+    want_json = ns.format == "json"
     member_json = []
     for B in members:
         R, poly = degree_R(B), poincare_poly(B)
         name, text = str(B), str(poly)
-        member_json.append(_member_json(B, R, poly))
+        if want_json:
+            member_json.append(_member_json(B, R, poly))
         lines.append(f"  {name}  R={R}  P(t) = {text}")
         rows.append((name, R, text, B.is_reduced))
     payload = {
@@ -295,6 +293,8 @@ def _cmd_packet(ns: argparse.Namespace) -> int:
 
 
 def _cmd_poincare(ns: argparse.Namespace) -> int:
+    from .cohomology import degree_R, poincare_poly
+
     B = _bipartition_arg(ns.bipartition)
     R, poly = degree_R(B), poincare_poly(B)
     palindromic = poly.is_palindromic()
@@ -320,6 +320,10 @@ def _cmd_poincare(ns: argparse.Namespace) -> int:
 
 
 def _cmd_decay(ns: argparse.Namespace) -> int:
+    from .cohomology import bipartition_to_json
+    from .decay import p_bound_of_bipartition, ratio_profile
+    from .params import num_json
+
     B = _bipartition_arg(ns.bipartition)
     bound = p_bound_of_bipartition(B)
     mixed = next((x, y) for x, y in B.pairs if x >= 1 and y >= 1)
@@ -338,21 +342,23 @@ def _cmd_decay(ns: argparse.Namespace) -> int:
         "ratios: "
         + (
             ", ".join(
-                f"j={j}: {_num_str(r)}" for j, r in enumerate(profile.ratios, 1)
+                f"j={j}: {r!s}" for j, r in enumerate(profile.ratios, 1)
             )
             if profile.ratios
             else "(none)"
         ),
-        f"p bound: {_num_str(bound) if bound is not None else 'unbounded (N_k = N)'}",
+        f"p bound: {str(bound) if bound is not None else 'unbounded (N_k = N)'}",
     ]
     rows: list[Sequence] = [("j", "ratio")]
-    rows.extend((j, _num_str(r)) for j, r in enumerate(profile.ratios, 1))
-    rows.append(("p_bound", _num_str(bound) if bound is not None else "unbounded"))
+    rows.extend((j, str(r)) for j, r in enumerate(profile.ratios, 1))
+    rows.append(("p_bound", str(bound) if bound is not None else "unbounded"))
     _emit(ns.format, payload, lines, rows)
     return 0
 
 
 def _cmd_sx(ns: argparse.Namespace) -> int:
+    from .decay import sx_check
+
     result = sx_check(ns.N, ns.k)
     payload = {
         "N": ns.N,
@@ -376,6 +382,8 @@ def _cmd_sx(ns: argparse.Namespace) -> int:
 
 
 def _cmd_derive(ns: argparse.Namespace) -> int:
+    from .bounds import derive_exponent
+
     d = derive_exponent(ns.N, ns.a, ns.k)
     fmt = "json" if ns.json else ns.format
     lines = [f"exponent derivation for U({ns.a},{ns.N - ns.a}), N={ns.N}, k={ns.k}:"]
@@ -398,6 +406,11 @@ def _cmd_derive(ns: argparse.Namespace) -> int:
 
 
 def _cmd_dominance(ns: argparse.Namespace) -> int:
+    from .bounds import dominance_check
+    from .endoscopy import _guarded_sign_group
+    from .params import num_json, shape_to_json
+    from .selftest import random_packet
+
     if ns.trials < 1:
         raise ValueError(f"--trials must be positive, got {ns.trials}")
     shape = _shape_arg(ns.shape)
@@ -424,7 +437,7 @@ def _cmd_dominance(ns: argparse.Namespace) -> int:
     lines = [
         f"dominance for {shape}: {ns.trials} random packets, seed {ns.seed}",
         f"violations: {violations}",
-        f"smallest margin C*S - I: {_num_str(min_margin) if min_margin is not None else 'n/a'}",
+        f"smallest margin C*S - I: {str(min_margin) if min_margin is not None else 'n/a'}",
         f"holds: {'yes' if violations == 0 else 'no'}",
     ]
     rows = [
@@ -433,7 +446,7 @@ def _cmd_dominance(ns: argparse.Namespace) -> int:
             ns.trials,
             ns.seed,
             violations,
-            _num_str(min_margin) if min_margin is not None else "",
+            str(min_margin) if min_margin is not None else "",
             violations == 0,
         ),
     ]
@@ -442,6 +455,8 @@ def _cmd_dominance(ns: argparse.Namespace) -> int:
 
 
 def _cmd_selftest(ns: argparse.Namespace) -> int:
+    from .selftest import run_all
+
     results = run_all(ns.seed)
     passed = sum(1 for r in results if r.passed)
     failed = len(results) - passed

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .cohomology import Bipartition
+if TYPE_CHECKING:
+    from .cohomology import Bipartition
 
 __all__ = ["DecayProfile", "SxResult", "ratio_profile", "p_bound_of_bipartition", "sx_check"]
 

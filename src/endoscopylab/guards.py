@@ -1,13 +1,21 @@
-"""Enumeration caps, overridable through the ENDOSCOPYLAB_GUARD variable."""
+"""Enumeration caps, overridable through the ENDOSCOPYLAB_GUARD variable, and
+the default seed of the randomized checks."""
 
 from __future__ import annotations
 
 import os
 
-__all__ = ["GuardError", "guard_limit", "DEFAULT_BRUTE_GUARD", "DEFAULT_CHAIN_GUARD"]
+__all__ = [
+    "GuardError",
+    "guard_limit",
+    "DEFAULT_BRUTE_GUARD",
+    "DEFAULT_CHAIN_GUARD",
+    "DEFAULT_SEED",
+]
 
 DEFAULT_BRUTE_GUARD = 10**6
 DEFAULT_CHAIN_GUARD = 10**5
+DEFAULT_SEED = 1729
 
 
 class GuardError(RuntimeError):

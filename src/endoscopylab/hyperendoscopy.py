@@ -686,16 +686,22 @@ def verify_inversion(
         return False
     if len(factors) == 1:
         shp = factors[0]
-        residual = cs - FormalDist.unit((shp,))
+        # cs - I^{shp} + sum of iota * (sub-chain sum) over the splits, summed
+        # into one dict in place
+        residual = dict(cs._terms)
+        unit = canonical_factors((shp,))
+        residual[unit] = residual.get(unit, 0) - 1
         for T, Tc in _proper_splits(shp.r):
             split = make_split(
                 tuple(shp.summands[i] for i in T), tuple(shp.summands[i] for i in Tc)
             )
+            weight = iota(split.datum)
             sub = _chain_sum(
                 (ArthurShape(split.part1), ArthurShape(split.part2)), guard
             )
-            residual = residual + iota(split.datum) * sub
-        return residual.is_zero
+            for key, value in sub._terms.items():
+                residual[key] = residual.get(key, 0) + weight * value
+        return not any(residual.values())
     product_dist = FormalDist({(): Fraction(1)})
     for f in factors:
         product_dist = product_dist.tensor(_chain_sum((f,), guard))

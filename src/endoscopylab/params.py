@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -27,6 +28,7 @@ __all__ = [
     "is_elliptic",
     "shape_to_json",
     "shape_from_json",
+    "num_json",
 ]
 
 
@@ -229,6 +231,15 @@ def from_cohomological(parts: Iterable[int] | Sequence[int]) -> ArthurShape:
     return ArthurShape(
         tuple(Summand(f"c{i + 1}", 1, p) for i, p in enumerate(parts))
     )
+
+
+def num_json(value):
+    """Exact JSON rendering: an integral Fraction becomes an int, a proper one "p/q"."""
+    if isinstance(value, Fraction):
+        if value.denominator == 1:
+            return int(value)
+        return f"{value.numerator}/{value.denominator}"
+    return value
 
 
 def shape_to_json(shape: ArthurShape) -> dict:

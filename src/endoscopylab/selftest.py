@@ -42,6 +42,7 @@ from .endoscopy import (
     global_kottwitz_product,
     iota,
 )
+from .guards import DEFAULT_SEED
 from .hyperendoscopy import (
     FormalDist,
     _chain_sum,
@@ -71,8 +72,6 @@ __all__ = [
     "packet_members",
     "random_packet",
 ]
-
-DEFAULT_SEED = 1729
 
 
 @dataclass(frozen=True)

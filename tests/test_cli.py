@@ -1,6 +1,8 @@
 """End-to-end CLI behavior through main()."""
 
+import contextlib
 import functools
+import io
 import json
 import os
 import re
@@ -9,8 +11,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from endoscopylab import cli
+from endoscopylab import cli, selftest
 from endoscopylab.selftest import CheckResult, run_all
 
 SHAPE_21 = '{"summands": [{"label": "c1", "n": 1, "m": 2}, {"label": "c2", "n": 1, "m": 1}]}'
@@ -86,7 +90,7 @@ def run_all_once(seed):
 @pytest.mark.parametrize("case", OTHER_COMMANDS, ids=golden_id)
 def test_command_stdout_is_golden(capsys, monkeypatch, case):
     # the three selftest entries share one run of the checks
-    monkeypatch.setattr(cli, "run_all", run_all_once)
+    monkeypatch.setattr(selftest, "run_all", run_all_once)
     code, out, err = run(capsys, *case["argv"])
     assert (code, err) == (0, "")
     if case.get("mask") == "elapsed_s":
@@ -354,7 +358,7 @@ def test_selftest_reports_lines(capsys, monkeypatch):
         CheckResult("alpha", True, "ok"),
         CheckResult("beta", False, "broke"),
     ]
-    monkeypatch.setattr(cli, "run_all", lambda seed: fake)
+    monkeypatch.setattr(selftest, "run_all", lambda seed: fake)
     code, out, _ = run(capsys, "selftest")
     assert code == 1
     assert "PASS: alpha (ok)" in out
@@ -364,7 +368,7 @@ def test_selftest_reports_lines(capsys, monkeypatch):
 
 def test_selftest_all_green_exit_zero(capsys, monkeypatch):
     monkeypatch.setattr(
-        cli, "run_all", lambda seed: [CheckResult("alpha", True, "ok")]
+        selftest, "run_all", lambda seed: [CheckResult("alpha", True, "ok")]
     )
     code, out, _ = run(capsys, "selftest")
     assert code == 0
@@ -460,7 +464,7 @@ def test_selftest_json_reports_each_check_with_its_time(capsys):
 
 def test_selftest_csv_and_table_share_the_results(capsys, monkeypatch):
     fake = [CheckResult("alpha", True, "ok", 0.25), CheckResult("beta", False, "x")]
-    monkeypatch.setattr(cli, "run_all", lambda seed: fake)
+    monkeypatch.setattr(selftest, "run_all", lambda seed: fake)
     code, out, _ = run(capsys, "selftest", "--format", "csv")
     assert code == 1
     assert out.splitlines() == [
@@ -470,3 +474,115 @@ def test_selftest_csv_and_table_share_the_results(capsys, monkeypatch):
     ]
     code, out, _ = run(capsys, "selftest")
     assert out == "PASS: alpha (ok)\nFAIL: beta (x)\n1 passed, 1 failed\n"
+
+
+# Fuzzing: generated shape and bipartition JSON through main() ends in exit 0
+# with a quiet stderr, or in exit 2 (usage) or 1 (guard) with exactly one
+# "error:" line; any other exception escapes main() and fails the test.
+
+ODD_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 5) | st.floats(-2, 5) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+# where a drawn document is spoiled: nowhere (most often), one field, one
+# entry, or the whole document
+SPOIL = st.sampled_from(["none", "none", "none", "field", "entry", "document"])
+
+
+@st.composite
+def shape_documents(draw):
+    """A shape JSON document and the rank N of its unspoilt form."""
+    r = draw(st.integers(0, 5))
+    labels = draw(
+        st.lists(st.sampled_from(["c1", "c2", "c3", "c4", "c5"]), min_size=r, max_size=r,
+                 unique=draw(st.booleans()))
+    )
+    summands = [
+        {"label": label, "n": draw(st.integers(1, 2)), "m": draw(st.integers(1, 4))}
+        for label in labels
+    ]
+    for entry in summands:
+        if draw(st.integers(0, 5)) == 0:
+            entry["self_dual"] = False
+    N = sum(entry["n"] * entry["m"] for entry in summands)
+    spoil = draw(SPOIL)
+    if spoil == "document":
+        return draw(ODD_JSON | st.fixed_dictionaries({"summands": ODD_JSON})), N
+    if summands and spoil == "entry":
+        summands[draw(st.integers(0, r - 1))] = draw(ODD_JSON)
+    if summands and spoil == "field":
+        entry = summands[draw(st.integers(0, r - 1))]
+        key = draw(st.sampled_from(["label", "n", "m", "self_dual"]))
+        if draw(st.booleans()):
+            entry.pop(key, None)
+        else:
+            entry[key] = draw(ODD_JSON)
+    return {"summands": summands}, N
+
+
+@st.composite
+def bipartition_documents(draw):
+    pair = st.lists(st.integers(0, 4), min_size=2, max_size=2)
+    pairs = draw(st.lists(pair, min_size=1, max_size=5))
+    if draw(st.integers(0, 7)) == 0:
+        pairs[0] = [400, draw(st.sampled_from([1, 400]))]  # a large one: long, or refused
+    spoil = draw(SPOIL)
+    if spoil == "document":
+        return draw(ODD_JSON)
+    if spoil == "entry":
+        pairs[draw(st.integers(0, len(pairs) - 1))] = draw(ODD_JSON)
+    if spoil == "field":
+        pairs[draw(st.integers(0, len(pairs) - 1))][draw(st.integers(0, 1))] = draw(ODD_JSON)
+    return {"pairs": pairs} if draw(st.booleans()) else pairs
+
+
+FORMATS = st.sampled_from(["table", "json", "csv"])
+
+
+def run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+def assert_clean_outcome(code, err):
+    if code == 0:
+        assert err == ""
+    else:
+        assert code in (1, 2)
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1, err
+
+
+FUZZ = settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+@FUZZ
+@given(
+    command=st.sampled_from(["endoscopy", "chains", "dominance"]),
+    shape_and_N=shape_documents(),
+    N_offset=st.sampled_from([0, 0, 0, 1]),
+    fmt=FORMATS,
+)
+def test_fuzzed_shape_json_ends_cleanly(command, shape_and_N, N_offset, fmt):
+    shape, N = shape_and_N
+    # "--opt=value": argparse reads a separate value such as "-1e-05" as an option
+    argv = [command, f"--shape={json.dumps(shape)}", "--format", fmt]
+    if command == "endoscopy":
+        argv += ["--N", str(N + N_offset)]
+    elif command == "dominance":
+        argv += ["--trials", "3"]
+    assert_clean_outcome(*run_quietly(argv))
+
+
+@FUZZ
+@given(
+    command=st.sampled_from(["poincare", "decay"]),
+    bipartition=bipartition_documents(),
+    fmt=FORMATS,
+)
+def test_fuzzed_bipartition_json_ends_cleanly(command, bipartition, fmt):
+    argv = [command, f"--bipartition={json.dumps(bipartition)}", "--format", fmt]
+    assert_clean_outcome(*run_quietly(argv))

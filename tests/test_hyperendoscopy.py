@@ -256,6 +256,19 @@ def test_planted_iota_fault_fails_verify_inversion(monkeypatch):
     assert not verify_inversion(shape=shape)
 
 
+def test_planted_sub_sum_fault_fails_the_recursion_check(monkeypatch):
+    # the shape's own chain sum stays right, so only the substitution into the
+    # recursion sees the doubled chain sums of the split parameters
+    shape = from_cohomological((2, 1, 1))
+    real = hyperendoscopy._chain_sum
+    monkeypatch.setattr(
+        hyperendoscopy,
+        "_chain_sum",
+        lambda factors, guard: real(factors, guard) * (2 if len(factors) == 2 else 1),
+    )
+    assert not verify_inversion(shape=shape)
+
+
 def literal_chain_sum(factors):
     """iota(chain) * I^{terminal}, summed over the public chain objects."""
     return FormalDist(
@@ -321,3 +334,31 @@ def test_verify_inversion_leaves_the_caches_keyed_by_block_count():
     assert verify_inversion(shape=fresh(2))
     after_three = [cache.cache_info().currsize for cache in caches]
     assert all(three <= one for three, one in zip(after_three, after_one))
+
+
+def label_terms(dist, perm=None):
+    """Each term keyed by the label sets of its factors, the labels renamed by perm."""
+    rename = perm.get if perm else (lambda label: label)
+    return {
+        frozenset(frozenset(rename(s.label) for s in f.summands) for f in key): coeff
+        for key, coeff in dist.items()
+    }
+
+
+def test_relabelling_blocks_permutes_the_terms():
+    # labels are opaque: renaming the blocks (here a rotation of the labels)
+    # renames every term's blocks the same way and keeps its coefficient, in
+    # the kernel and in the dominant term
+    for parts in COMPOSITIONS:
+        shape = from_cohomological(parts)
+        labels = [s.label for s in shape.summands]
+        perm = dict(zip(labels, labels[1:] + labels[:1]))
+        moved = ArthurShape(
+            tuple(Summand(perm[s.label], s.n, s.m) for s in shape.summands)
+        )
+        assert label_terms(expand_stable(shape=moved)) == label_terms(
+            expand_stable(shape=shape), perm
+        ), parts
+        dominant = label_terms(dominant_contribution(shape), perm)
+        moved_dominant = label_terms(dominant_contribution(moved))
+        assert moved_dominant == dominant, parts

@@ -1,9 +1,17 @@
-"""Every name a library module imports is used in that module."""
+"""Imports: every name a library module imports is used there, the package
+namespace resolves lazily, and each CLI command loads only what it uses."""
 
 import ast
+import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import endoscopylab
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "endoscopylab"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -31,3 +39,121 @@ def test_module_uses_every_import(path):
 def test_check_sees_an_unused_import():
     source = "from typing import Sequence, NamedTuple\nimport os\nx: NamedTuple\n"
     assert unused_imports(source) == ["Sequence (line 1)", "os (line 2)"]
+
+
+def run_fresh(code: str, *args: str) -> str:
+    """Run code in a new interpreter that imports the package from src/."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+LOADED = """
+import contextlib, io, json, sys
+from endoscopylab import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(json.loads(sys.argv[1]))
+print(json.dumps([code, [m for m in sys.modules if m.startswith("endoscopylab.")]]))
+"""
+SHAPE = json.dumps(
+    {"summands": [{"label": "c1", "n": 1, "m": 3}, {"label": "c2", "n": 1, "m": 1},
+                  {"label": "c3", "n": 2, "m": 1}]}
+)
+
+
+@pytest.mark.parametrize(
+    "argv, unused",
+    [
+        pytest.param(["sx", "--N", "7", "--k", "2"], {"endoscopy", "hyperendoscopy"}, id="sx"),
+        pytest.param(["endoscopy", "--N", "6", "--shape", SHAPE],
+                     {"cohomology", "hyperendoscopy"}, id="endoscopy --shape"),
+        pytest.param(["packet", "--a", "3", "--b", "3", "--P", "3,2,1"],
+                     {"endoscopy", "hyperendoscopy"}, id="packet"),
+        pytest.param(["chains", "--shape", SHAPE], {"cohomology"}, id="chains"),
+        pytest.param(["chains", "--shape", SHAPE, "--dominant"], {"cohomology"},
+                     id="chains --dominant"),
+    ],
+)
+def test_command_loads_only_the_modules_it_uses(argv, unused):
+    code, modules = json.loads(run_fresh(LOADED, json.dumps(argv)))
+    assert code == 0
+    loaded = {m.split(".", 1)[1] for m in modules}
+    assert "cli" in loaded
+    unused = unused | {"bounds", "selftest"}  # no listed command needs these
+    assert loaded.isdisjoint(unused), sorted(loaded & unused)
+
+
+def test_package_import_and_private_lookups_load_no_submodule():
+    out = run_fresh(
+        "import sys, endoscopylab\n"
+        "for name in ('_private', '__wrapped__', 'cli', 'bounds'):\n"
+        "    assert not hasattr(endoscopylab, name), name\n"
+        "print([m for m in sys.modules if m.startswith('endoscopylab.')])"
+    )
+    assert out.strip() == "[]"
+
+
+def test_cli_loads_only_guards_from_the_package():
+    # only top-level statements run when cli is imported; function bodies and
+    # `if TYPE_CHECKING:` blocks do not
+    loaded = []
+    for node in ast.parse((PACKAGE / "cli.py").read_text()).body:
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or node.module.startswith("endoscopylab")
+        ):
+            loaded.append(node.module)
+        elif isinstance(node, ast.Import):
+            loaded += [a.name for a in node.names if a.name.startswith("endoscopylab")]
+    assert loaded == ["guards"]
+
+
+# Every name the package's __init__ imported eagerly, before it resolved names
+# lazily, by the submodule that defines it.
+EAGER_EXPORTS = {
+    "params": [
+        "ArthurShape", "BlockSignVector", "GroupChar", "Summand", "TwoGroup",
+        "centralizer_group", "from_cohomological", "is_elliptic", "s_psi",
+        "shape_from_json", "shape_to_json",
+    ],
+    "endoscopy": [
+        "EndoscopicDatum", "InnerFormSpec", "ParameterSplit", "bijection",
+        "check_inner_form", "dominant_group", "elliptic_data", "global_kottwitz_product",
+        "iota", "kottwitz_sign_padic", "kottwitz_sign_real", "make_split",
+    ],
+    "guards": ["GuardError"],
+    "hyperendoscopy": [
+        "ChainStep", "FormalDist", "GroupSymbol", "HyperChain", "chain_expansion",
+        "chain_iota", "dominant_contribution", "enumerate_chains", "expand_stable",
+        "verify_inversion",
+    ],
+    "cohomology": [
+        "Bipartition", "OrderedPartition", "PoincarePoly", "brute_poincare", "degree_R",
+        "enumerate_bipartitions", "gaussian_binomial", "lowest_degree", "poincare_poly",
+    ],
+    "decay": ["DecayProfile", "SxResult", "p_bound_of_bipartition", "ratio_profile", "sx_check"],
+    "bounds": [
+        "Derivation", "DerivationStep", "DominanceResult", "PacketModel", "coefficient_sum",
+        "derive_exponent", "dominance_check", "i_disc_model", "savin_exponent",
+        "stable_coefficient",
+    ],
+    "selftest": ["ALL_CHECKS", "CheckResult", "run_all"],
+}
+
+
+@pytest.mark.parametrize(
+    "module, name", [(m, n) for m, names in EAGER_EXPORTS.items() for n in names]
+)
+def test_package_still_exports(module, name):
+    namespace: dict = {}
+    exec(f"from endoscopylab import {name}", namespace)
+    assert namespace[name] is getattr(importlib.import_module(f"endoscopylab.{module}"), name)
+    assert name in dir(endoscopylab)
+
+
+def test_unknown_package_name_is_an_import_error():
+    with pytest.raises(ImportError):
+        exec("from endoscopylab import no_such_name", {})
