@@ -12,19 +12,19 @@ and limit multiplicity growth into the closed exponent N(N - 2k).
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 from .cohomology import lowest_degree
 from .endoscopy import EndoscopicDatum, _guarded_sign_group, dominant_group, iota
-from .guards import DEFAULT_CHAIN_GUARD, GuardError, guard_limit
+from .guards import DEFAULT_CHAIN_GUARD, guard_limit, refuse_above
 from .hyperendoscopy import GroupSymbol
 from .params import (
     ArthurShape,
     BlockSignVector,
     GroupChar,
-    TwoGroup,
     centralizer_group,
     from_cohomological,
     num_json,
@@ -42,6 +42,7 @@ __all__ = [
     "dominance_check",
     "derive_exponent",
     "savin_exponent",
+    "random_packet",
 ]
 
 
@@ -68,6 +69,16 @@ class PacketModel:
     @property
     def trace_total(self) -> Fraction:
         return sum((t for _, t in self.members), Fraction(0))
+
+
+def random_packet(rng: random.Random, chars: list[GroupChar]) -> PacketModel:
+    """A random subset of the characters with random traces and a random epsilon."""
+    size = rng.randint(1, len(chars))
+    members = tuple(
+        (chi, Fraction(rng.randint(0, 9), rng.randint(1, 9)))
+        for chi in rng.sample(chars, size)
+    )
+    return PacketModel(chars[0].rank, members, rng.choice(chars))
 
 
 def _numerator(r: int, N: int, n2: int) -> int:
@@ -133,14 +144,9 @@ def i_disc_model(shape: ArthurShape, packet: PacketModel) -> Fraction:
     With m = chi.mask ^ epsilon.mask the double sum is
     sum_chi t_chi * (-1)^<m, s_psi> * C^(m), where C^ is the Walsh-Hadamard
     transform of the coefficient table, so it costs O(r * 2^r + members).
-    The 2^(r-1)-entry table is counted first and refused above the chain cap
-    (ENDOSCOPYLAB_GUARD, else the default).
+    The 2^(r-1)-entry table is counted first and refused above the chain cap.
     """
-    return _i_disc(shape, _guarded_sign_group(shape, None), packet)
-
-
-def _i_disc(shape: ArthurShape, group: TwoGroup, packet: PacketModel) -> Fraction:
-    """:func:`i_disc_model` on a sign group whose table size is already checked."""
+    group = _guarded_sign_group(shape)
     if packet.rank != group.rank:
         raise ValueError(
             f"packet rank {packet.rank} does not match group rank {group.rank}"
@@ -167,9 +173,7 @@ class DominanceResult(NamedTuple):
     holds: bool
 
 
-def dominance_check(
-    shape: ArthurShape, packet: PacketModel, *, guard: int | None = None
-) -> DominanceResult:
+def dominance_check(shape: ArthurShape, packet: PacketModel) -> DominanceResult:
     """I against C(psi) times the dominant stable term; exact comparison.
 
     At s = s_psi the twist is trivial (all signs +1), so the dominant term
@@ -177,7 +181,7 @@ def dominance_check(
     are nonnegative.  The trace runs over a 2^(r-1)-entry coefficient table,
     which is counted first and refused above the chain cap.
     """
-    i_value = _i_disc(shape, _guarded_sign_group(shape, guard), packet)
+    i_value = i_disc_model(shape, packet)
     c_dom = stable_coefficient(shape, s_psi(shape))
     s_dominant = c_dom * packet.trace_total
     c_psi = coefficient_sum(shape) / c_dom
@@ -265,7 +269,7 @@ def savin_exponent(group: GroupSymbol) -> int:
     return group.dim - 1
 
 
-def derive_exponent(N: int, a: int, k: int, *, guard: int | None = None) -> Derivation:
+def derive_exponent(N: int, a: int, k: int) -> Derivation:
     """Exponent derivation for level growth on U(a, b), b = N - a.
 
     The parameter family has SL(2) shape nu(2k) + nu(1)^(N-2k); the dominant
@@ -274,9 +278,8 @@ def derive_exponent(N: int, a: int, k: int, *, guard: int | None = None) -> Deri
     lambda contributes exponent (N^2 - (2k)^2 + sum(lambda_j^2))/2, maximal
     at the unrefined dominant group where it equals N(N - 2k).
 
-    The table has one row per partition of N - 2k; above the chain cap
-    (``guard``, else ENDOSCOPYLAB_GUARD, else the default) the derivation
-    raises :class:`GuardError` before building anything.
+    The table has one row per partition of N - 2k; above the chain cap the
+    derivation raises :class:`GuardError` before building anything.
     """
     if not 1 <= k <= N // 2:
         raise ValueError(f"need 1 <= k <= {N // 2}, got k={k}")
@@ -284,13 +287,12 @@ def derive_exponent(N: int, a: int, k: int, *, guard: int | None = None) -> Deri
         raise ValueError(f"need 0 <= a <= {N // 2}, got a={a}")
     rank_even_block = 2 * k
     rank_odd_block = N - rank_even_block
-    cap = guard_limit(guard, DEFAULT_CHAIN_GUARD)
-    rows = _partition_count(rank_odd_block, cap)
-    if rows > cap:
-        raise GuardError(
-            f"the chain table of derive would hold p({rank_odd_block}) >= {rows} "
-            f"rows, above the cap {cap}"
-        )
+    rows = _partition_count(rank_odd_block, guard_limit(DEFAULT_CHAIN_GUARD))
+    refuse_above(
+        rows,
+        "the chain table of derive would hold p({n}) >= {count} rows, above the cap {cap}",
+        n=rank_odd_block,
+    )
     b = N - a
     i0 = lowest_degree(a, b, k)
     shape = from_cohomological((rank_even_block,) + (1,) * rank_odd_block)

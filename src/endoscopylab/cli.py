@@ -56,30 +56,25 @@ def _bipartition_arg(text: str) -> Bipartition:
     return bipartition_from_json(_load_json_text(text))
 
 
-def _expansion_json(dist) -> list[dict]:
+def _add_expansion(terms: list, want_json: bool, payload: dict, lines: list[str]) -> None:
+    """Render the sorted terms of an expansion as lines and, for json, a payload list."""
     from .hyperendoscopy import GroupSymbol
     from .params import num_json, shape_to_json
 
-    return [
-        {
-            "coefficient": num_json(coeff),
-            "group": str(GroupSymbol.of_factors(key)) if key else "1",
-            "factors": [shape_to_json(f) for f in key],
-        }
-        for key, coeff in dist.items()
-    ]
-
-
-def _expansion_lines(dist) -> list[str]:
-    from .hyperendoscopy import GroupSymbol
-
-    lines = []
-    for key, coeff in dist.items():
+    if want_json:
+        payload["expansion"] = [
+            {
+                "coefficient": num_json(coeff),
+                "group": str(GroupSymbol.of_factors(key)) if key else "1",
+                "factors": [shape_to_json(f) for f in key],
+            }
+            for key, coeff in terms
+        ]
+    for key, coeff in terms:
         factors = (
             f"{GroupSymbol.of_factors(key)} [{' | '.join(map(str, key))}]" if key else "1"
         )
         lines.append(f"  {coeff!s:>8}  I^{{{factors}}}")
-    return lines
 
 
 def _emit(fmt: str, payload: dict, lines: list[str], rows: list[Sequence]) -> None:
@@ -164,9 +159,10 @@ def _cmd_chains(ns: argparse.Namespace) -> int:
     }
     lines: list[str] = []
     rows: list[Sequence] = []
+    want_json = ns.format == "json"
     if ns.dominant:
         center = s_psi(shape)
-        expansion = dominant_contribution(shape)
+        terms = dominant_contribution(shape).items()
         if center.is_identity:
             lines.append(
                 f"s_psi = {center} is the identity; full stable expansion on U({shape.N}):"
@@ -180,18 +176,16 @@ def _cmd_chains(ns: argparse.Namespace) -> int:
             )
             payload["dominant_datum"] = datum_to_json(datum)
             payload["dominant_split"] = split_to_json(split)
-        payload["expansion"] = _expansion_json(expansion)
-        lines += _expansion_lines(expansion)
+        _add_expansion(terms, want_json, payload, lines)
         rows.append(("coefficient", "group", "factors"))
         rows.extend(
             (str(coeff), str(GroupSymbol.of_factors(key)), " | ".join(map(str, key)))
-            for key, coeff in expansion.items()
+            for key, coeff in terms
         )
         _emit(ns.format, payload, lines, rows)
         return 0
     chains = enumerate_chains(shape=shape)
-    expansion = chain_expansion(shape=shape)
-    want_json = ns.format == "json"
+    terms = chain_expansion(shape=shape).items()
     if want_json:
         payload["chains"] = []
     lines.append(f"refinement chains for {shape} on U({shape.N}):")
@@ -235,9 +229,8 @@ def _cmd_chains(ns: argparse.Namespace) -> int:
                     "steps": steps,
                 }
             )
-    payload["expansion"] = _expansion_json(expansion)
     lines.append("chain-sum expansion:")
-    lines += _expansion_lines(expansion)
+    _add_expansion(terms, want_json, payload, lines)
     _emit(ns.format, payload, lines, rows)
     return 0
 
@@ -406,16 +399,15 @@ def _cmd_derive(ns: argparse.Namespace) -> int:
 
 
 def _cmd_dominance(ns: argparse.Namespace) -> int:
-    from .bounds import dominance_check
+    from .bounds import dominance_check, random_packet
     from .endoscopy import _guarded_sign_group
     from .params import num_json, shape_to_json
-    from .selftest import random_packet
 
     if ns.trials < 1:
         raise ValueError(f"--trials must be positive, got {ns.trials}")
     shape = _shape_arg(ns.shape)
     # the random packets draw from all 2^(r-1) characters, so refuse before listing them
-    chars = _guarded_sign_group(shape, None).characters()
+    chars = _guarded_sign_group(shape).characters()
     rng = random.Random(ns.seed)
     violations = 0
     min_margin: Fraction | None = None
@@ -574,7 +566,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     try:
         # a malformed ENDOSCOPYLAB_GUARD is a usage error on every command
-        guard_limit(None, DEFAULT_CHAIN_GUARD)
+        guard_limit(DEFAULT_CHAIN_GUARD)
         code = ns.func(ns)
         sys.stdout.flush()
         return code

@@ -29,10 +29,10 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Iterable, Iterator, Sequence
 
-from .guards import DEFAULT_BRUTE_GUARD, DEFAULT_CHAIN_GUARD, GuardError, guard_limit
+from .guards import DEFAULT_BRUTE_GUARD, refuse_above
 
 __all__ = [
     "OrderedPartition",
@@ -245,16 +245,14 @@ def enumerate_bipartitions(
     a: int,
     b: int,
     P: OrderedPartition | Sequence[int] | None = None,
-    *,
-    guard: int | None = None,
 ) -> list[Bipartition]:
     """Bipartitions of (a, b): all compatible with P, or all reduced ones.
 
     With P given, members have a_i + b_i = N_i in order and sum a_i = a; the
     first coordinates run in decreasing lexicographic order.  Without P the
     result is every reduced bipartition of (a, b).  The members are counted
-    first; above the chain cap (``guard``, else ENDOSCOPYLAB_GUARD, else the
-    default) the call raises :class:`GuardError` before building any.
+    first; above the chain cap the call raises :class:`GuardError` before
+    building any.
     """
     if a < 0 or b < 0:
         raise ValueError(f"signature entries must be nonnegative, got ({a}, {b})")
@@ -269,29 +267,29 @@ def enumerate_bipartitions(
                 f"partition {parts} has size {sum(parts)}, cannot fill ({a}, {b})"
             )
         size = _packet_count(parts, a)
-    cap = guard_limit(guard, DEFAULT_CHAIN_GUARD)
-    if size > cap:
-        raise GuardError(f"the packet would hold {size} members, above the cap {cap}")
+    refuse_above(size, "the packet would hold {count} members, above the cap {cap}")
     if P is None:
         return [Bipartition(p) for p in _reduced_sequences(a, b)]
-    suffix_totals = [0] * (len(parts) + 1)
-    for i in range(len(parts) - 1, -1, -1):
-        suffix_totals[i] = suffix_totals[i + 1] + parts[i]
+    suffix_totals = [*accumulate(reversed(parts), initial=0)][::-1]  # sum(parts[i:])
 
     out: list[Bipartition] = []
-    # one (a_i, b_i) tuple per position and a_i, shared by every member
-    options = [[(a_i, n - a_i) for a_i in range(n + 1)] for n in parts]
+    # one (a_i, b_i) tuple per position and feasible a_i, shared by every
+    # member: a_i runs down from min(N_i, a) to max(0, N_i - b)
+    options = [
+        [(x, n - x) for x in range(min(n, a), max(0, n - b) - 1, -1)] for n in parts
+    ]
 
     def assign(i: int, a_rem: int, chosen: list[tuple[int, int]]) -> None:
         if i == len(parts):
             if a_rem == 0:
                 out.append(Bipartition(tuple(chosen)))
             return
+        top = min(parts[i], a)
         hi = min(parts[i], a_rem)
         lo = max(0, a_rem - (suffix_totals[i + 1]))
-        for a_i in range(hi, lo - 1, -1):
-            chosen.append(options[i][a_i])
-            assign(i + 1, a_rem - a_i, chosen)
+        for pair in options[i][top - hi : top - lo + 1]:
+            chosen.append(pair)
+            assign(i + 1, a_rem - pair[0], chosen)
             chosen.pop()
 
     assign(0, a, [])
@@ -299,19 +297,32 @@ def enumerate_bipartitions(
 
 
 def _packet_count(parts: tuple[int, ...], a: int) -> int:
-    """Number of (a_i) with 0 <= a_i <= N_i and sum a_i = a, in O(r * a)."""
-    ways = [1] + [0] * a
-    for n in parts:
+    """Number of (a_i) with 0 <= a_i <= N_i and sum a_i = a, in O(r * window).
+
+    After i parts the partial sum lies in [max(0, a - suffix_i), min(a, prefix_i)],
+    and each sum there extends to a member, so a window wider than the chain
+    cap is refused, as a lower bound, before any list is built.
+    """
+    total = sum(parts)
+    windows = [(max(0, a - total + p), min(a, p)) for p in accumulate(parts)]
+    refuse_above(
+        max(hi - lo + 1 for lo, hi in windows),
+        "the packet would hold >= {count} members, above the cap {cap}",
+    )
+    ways, base = [1], 0  # ways[s - base] over the current window
+    for n, (lo, hi) in zip(parts, windows):
         # Each new entry sums ways[s - n .. s], kept as a sliding window.
-        window = 0
-        nxt = [0] * (a + 1)
-        for s in range(a + 1):
-            window += ways[s]
-            if s > n:
-                window -= ways[s - n - 1]
-            nxt[s] = window
-        ways = nxt
-    return ways[a]
+        start, size = lo - base, len(ways)
+        window = sum(ways[max(0, start - n) : start + 1])
+        nxt = []
+        for j in range(start + 1, hi - base + 2):
+            nxt.append(window)
+            if j < size:
+                window += ways[j]
+            if j > n:
+                window -= ways[j - n - 1]
+        ways, base = nxt, lo
+    return ways[0]
 
 
 def _reduced_count(a: int, b: int) -> int:
@@ -381,19 +392,18 @@ def gaussian_binomial(n: int, k: int) -> PoincarePoly:
     m = min(k, n - k), in one int list: each step multiplies by one binomial
     and divides exactly by the other, so nothing recurses.  On a cache miss
     the work, m * k * (n - k) coefficient updates up to a constant, is
-    counted first and refused above the chain cap (ENDOSCOPYLAB_GUARD, else
-    the default) with :class:`GuardError`.
+    counted first and refused above the chain cap with :class:`GuardError`.
     """
     if k < 0 or n < 0 or k > n:
         raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
     m = min(k, n - k)
-    work = m * k * (n - k)
-    cap = guard_limit(None, DEFAULT_CHAIN_GUARD)
-    if work > cap:
-        raise GuardError(
-            f"the Gaussian binomial [{n} choose {k}] would take {work} "
-            f"coefficient updates, above the cap {cap}"
-        )
+    refuse_above(
+        m * k * (n - k),
+        "the Gaussian binomial [{n} choose {k}] would take {count} "
+        "coefficient updates, above the cap {cap}",
+        n=n,
+        k=k,
+    )
     # room for the product before the last division: degree m(n-m) + m
     coeffs = [1] + [0] * (m * (n - m) + m)
     top = 0  # degree of the running quotient
@@ -455,7 +465,7 @@ def _box_partition_counts(rows: int, cols: int) -> list[int]:
     return counts
 
 
-def brute_poincare(B: Bipartition, *, guard: int | None = None) -> PoincarePoly:
+def brute_poincare(B: Bipartition) -> PoincarePoly:
     """Oracle for :func:`poincare_poly`: each factor counted cell by cell.
 
     Enumerates the partitions in every a_i x b_i box, one-sided boxes
@@ -463,14 +473,13 @@ def brute_poincare(B: Bipartition, *, guard: int | None = None) -> PoincarePoly:
     instead of using Gaussian binomials.  The area counts are multiplied as
     int lists by a loop of its own and placed at degree R + 2d; only the
     result is a :class:`PoincarePoly`.  Refuses when the total
-    specialization product exceeds the guard cap.
+    specialization product exceeds the brute cap.
     """
-    cap = guard_limit(guard, DEFAULT_BRUTE_GUARD)
-    size = 1
-    for x, y in B.pairs:
-        size *= math.comb(x + y, x)
-    if size > cap:
-        raise GuardError(f"brute enumeration of {size} cells exceeds the cap {cap}")
+    refuse_above(
+        math.prod(math.comb(x + y, x) for x, y in B.pairs),
+        "brute enumeration of {count} cells exceeds the cap {cap}",
+        DEFAULT_BRUTE_GUARD,
+    )
     by_area = [1]
     for x, y in B.pairs:
         cells = _box_partition_counts(x, y)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .guards import DEFAULT_CHAIN_GUARD, GuardError, guard_limit
+from .guards import refuse_above
 from .params import (
     ArthurShape,
     BlockSignVector,
@@ -174,24 +174,21 @@ def _split_under(
     return split.datum, split
 
 
-def _guarded_sign_group(shape: ArthurShape, guard: int | None) -> TwoGroup:
+def _guarded_sign_group(shape: ArthurShape) -> TwoGroup:
     """The sign group of an elliptic shape, refused when a table over it is too big.
 
     A table with one entry per element has 2^(r-1) entries; above the chain
-    cap (``guard``, else ENDOSCOPYLAB_GUARD, else the default) this raises
-    :class:`GuardError` before any entry is built.
+    cap this raises :class:`GuardError` before any entry is built.
     """
     group = centralizer_group(shape)
-    cap = guard_limit(guard, DEFAULT_CHAIN_GUARD)
-    if group.order > cap:
-        raise GuardError(
-            f"the sign table would hold {group.order} entries, above the cap {cap}"
-        )
+    refuse_above(
+        group.order, "the sign table would hold {count} entries, above the cap {cap}"
+    )
     return group
 
 
 def bijection(
-    shape: ArthurShape, *, guard: int | None = None
+    shape: ArthurShape,
 ) -> dict[BlockSignVector, tuple[EndoscopicDatum, ParameterSplit]]:
     """Sign-group elements <-> (endoscopic datum, block split).
 
@@ -201,7 +198,7 @@ def bijection(
     split.  The image has exactly 2^(r-1) entries, counted first against
     the chain cap.
     """
-    group = _guarded_sign_group(shape, guard)
+    group = _guarded_sign_group(shape)
     out: dict[BlockSignVector, tuple[EndoscopicDatum, ParameterSplit]] = {}
     for element in group.elements:
         vector = group.to_sign_vector(element)

@@ -8,6 +8,7 @@ import os
 __all__ = [
     "GuardError",
     "guard_limit",
+    "refuse_above",
     "DEFAULT_BRUTE_GUARD",
     "DEFAULT_CHAIN_GUARD",
     "DEFAULT_SEED",
@@ -22,12 +23,8 @@ class GuardError(RuntimeError):
     """An enumeration would exceed the configured cap."""
 
 
-def guard_limit(explicit: int | None, default: int) -> int:
-    """Resolve a cap: explicit argument, then env override, then the default."""
-    if explicit is not None:
-        if explicit < 1:
-            raise ValueError(f"guard cap must be positive, got {explicit}")
-        return explicit
+def guard_limit(default: int) -> int:
+    """The cap: ENDOSCOPYLAB_GUARD when set, else the default."""
     env = os.environ.get("ENDOSCOPYLAB_GUARD")
     if env:
         try:
@@ -38,3 +35,10 @@ def guard_limit(explicit: int | None, default: int) -> int:
             raise ValueError(f"ENDOSCOPYLAB_GUARD must be positive, got {env!r}")
         return value
     return default
+
+
+def refuse_above(count: int, message: str, default=DEFAULT_CHAIN_GUARD, **fields) -> None:
+    """Raise GuardError above the cap, formatting message with count, cap and fields."""
+    cap = guard_limit(default)
+    if count > cap:
+        raise GuardError(message.format(count=count, cap=cap, **fields))

@@ -50,12 +50,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import comb, lcm
+from math import comb, lcm, prod
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence, Union
 
 from .endoscopy import EndoscopicDatum, ParameterSplit, iota, make_split
-from .guards import DEFAULT_CHAIN_GUARD, GuardError, guard_limit
+from .guards import refuse_above
 from .params import ArthurShape, Summand, is_elliptic, s_psi
 from . import endoscopy
 
@@ -406,23 +406,17 @@ def _resolve_assignment(
     return factors
 
 
-def _check_chain_count(factors: tuple[ArthurShape, ...], guard: int | None) -> None:
-    """Refuse, before any work, more chains than the cap (``guard``, else the env)."""
-    cap = guard_limit(guard, DEFAULT_CHAIN_GUARD)
-    count = 1
-    for f in factors:
-        count *= _plan_count(f.r)
-    if count > cap:
-        raise GuardError(
-            f"chain enumeration would produce {count} chains, above the cap {cap}"
-        )
+def _check_chain_count(factors: tuple[ArthurShape, ...]) -> None:
+    """Refuse, before any work, more chains than the cap."""
+    refuse_above(
+        prod(_plan_count(f.r) for f in factors),
+        "chain enumeration would produce {count} chains, above the cap {cap}",
+    )
 
 
 def enumerate_chains(
     shape: ArthurShape | None = None,
     assignment: Sequence[ArthurShape] | None = None,
-    *,
-    guard: int | None = None,
 ) -> list[HyperChain]:
     """All refinement chains of the assignment, the trivial one included.
 
@@ -431,7 +425,7 @@ def enumerate_chains(
     whole blocks and a single-block factor admits no step at all.
     """
     factors = _resolve_assignment(shape, assignment)
-    _check_chain_count(factors, guard)
+    _check_chain_count(factors)
     splits: dict = {}
     return [
         HyperChain(factors, _linearize(factors, chosen, splits))
@@ -449,9 +443,7 @@ def chain_iota(chain: HyperChain) -> Fraction:
     return Fraction(-num if len(chain.steps) % 2 else num, den)
 
 
-def _chain_sum(
-    factors: tuple[ArthurShape, ...], guard: int | None
-) -> FormalDist:
+def _chain_sum(factors: tuple[ArthurShape, ...]) -> FormalDist:
     """Sum of iota(chain) * I^{terminal}, walked chain by chain as integer records.
 
     This is the independent oracle that :func:`verify_inversion` holds the
@@ -467,7 +459,7 @@ def _chain_sum(
     term's weights over the lcm of their denominators.  Canonical factor
     tuples and Fractions are made once per term, at the end.
     """
-    _check_chain_count(factors, guard)
+    _check_chain_count(factors)
     walks = []  # per factor: shape, block count, bit offset, split weights
     start = 0
     for f in factors:
@@ -616,8 +608,6 @@ def _factor_terms(
 def chain_expansion(
     shape: ArthurShape | None = None,
     assignment: Sequence[ArthurShape] | None = None,
-    *,
-    guard: int | None = None,
 ) -> FormalDist:
     """Sum of iota(chain) * I^{terminal} over all chains of the assignment.
 
@@ -625,14 +615,12 @@ def chain_expansion(
     or a root split with a forest on each part, so the chain sum obeys the
     stable recursion and equals :func:`expand_stable`, which computes it.
     """
-    return expand_stable(shape, assignment, guard=guard)
+    return expand_stable(shape, assignment)
 
 
 def expand_stable(
     shape: ArthurShape | None = None,
     assignment: Sequence[ArthurShape] | None = None,
-    *,
-    guard: int | None = None,
 ) -> FormalDist:
     """Fully resolve the stable distribution into I-symbols via the recursion.
 
@@ -642,14 +630,10 @@ def expand_stable(
     assignment multiplies the per-factor coefficients.
     """
     factors = _resolve_assignment(shape, assignment)
-    cap = guard_limit(guard, DEFAULT_CHAIN_GUARD)
-    count = 1
-    for f in factors:
-        count *= _bell(f.r)
-    if count > cap:
-        raise GuardError(
-            f"stable expansion would produce {count} terms, above the cap {cap}"
-        )
+    refuse_above(
+        prod(_bell(f.r) for f in factors),
+        "stable expansion would produce {count} terms, above the cap {cap}",
+    )
     memo: dict[tuple[int, ...], int] = {}
     terms: dict[FactorKey, Fraction] = {}
     for combo in product(*(_factor_terms(f, memo) for f in factors)):
@@ -669,8 +653,6 @@ def expand_stable(
 def verify_inversion(
     shape: ArthurShape | None = None,
     assignment: Sequence[ArthurShape] | None = None,
-    *,
-    guard: int | None = None,
 ) -> bool:
     """Substitute the chain sum back into the recursion; exact identity check.
 
@@ -681,8 +663,8 @@ def verify_inversion(
     per-factor chain sums.
     """
     factors = _resolve_assignment(shape, assignment)
-    cs = _chain_sum(factors, guard)
-    if cs != expand_stable(assignment=factors, guard=guard):
+    cs = _chain_sum(factors)
+    if cs != expand_stable(assignment=factors):
         return False
     if len(factors) == 1:
         shp = factors[0]
@@ -696,21 +678,17 @@ def verify_inversion(
                 tuple(shp.summands[i] for i in T), tuple(shp.summands[i] for i in Tc)
             )
             weight = iota(split.datum)
-            sub = _chain_sum(
-                (ArthurShape(split.part1), ArthurShape(split.part2)), guard
-            )
+            sub = _chain_sum((ArthurShape(split.part1), ArthurShape(split.part2)))
             for key, value in sub._terms.items():
                 residual[key] = residual.get(key, 0) + weight * value
         return not any(residual.values())
     product_dist = FormalDist({(): Fraction(1)})
     for f in factors:
-        product_dist = product_dist.tensor(_chain_sum((f,), guard))
+        product_dist = product_dist.tensor(_chain_sum((f,)))
     return (cs - product_dist).is_zero
 
 
-def dominant_contribution(
-    shape: ArthurShape, *, guard: int | None = None
-) -> FormalDist:
+def dominant_contribution(shape: ArthurShape) -> FormalDist:
     """Expansion of the stable term at the distinguished central sign.
 
     For a shape whose central sign is the identity this is the full stable
@@ -720,9 +698,9 @@ def dominant_contribution(
     GuardError when the Bell-number term count exceeds the cap.
     """
     if s_psi(shape).is_identity:
-        return expand_stable(shape=shape, guard=guard)
+        return expand_stable(shape=shape)
     datum, split = endoscopy.dominant_group(shape)
     if split.is_trivial:
         raise RuntimeError(f"nontrivial central sign of {shape} gave a trivial split")
     assignment = (split.shape1, split.shape2)
-    return iota(datum) * expand_stable(assignment=assignment, guard=guard)
+    return iota(datum) * expand_stable(assignment=assignment)

@@ -22,6 +22,7 @@ from .bounds import (
     coefficient_sum,
     derive_exponent,
     dominance_check,
+    random_packet,
     stable_coefficient,
 )
 from .cohomology import (
@@ -54,7 +55,6 @@ from .hyperendoscopy import (
 from .params import (
     ArthurShape,
     BlockSignVector,
-    GroupChar,
     Summand,
     centralizer_group,
     from_cohomological,
@@ -98,16 +98,6 @@ def packet_members(max_N: int) -> Iterator[Bipartition]:
         for P in _compositions(N):
             for a in range(N + 1):
                 yield from enumerate_bipartitions(a, N - a, P)
-
-
-def random_packet(rng: random.Random, chars: list[GroupChar]) -> PacketModel:
-    """A random subset of the characters with random traces and a random epsilon."""
-    size = rng.randint(1, len(chars))
-    members = tuple(
-        (chi, Fraction(rng.randint(0, 9), rng.randint(1, 9)))
-        for chi in rng.sample(chars, size)
-    )
-    return PacketModel(chars[0].rank, members, rng.choice(chars))
 
 
 def _random_bipartition(rng: random.Random, max_total: int) -> Bipartition:
@@ -317,7 +307,7 @@ def check_inversion() -> CheckResult:
     crossed = 0
     for name, factors in cases:
         rec = expand_stable(assignment=factors)
-        oracle = _chain_sum(factors, None)
+        oracle = _chain_sum(factors)
         if rec != oracle:
             return CheckResult("inversion", False, f"expansion mismatch at {name}")
         if sum(f.r for f in factors) <= 4:

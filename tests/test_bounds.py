@@ -219,12 +219,14 @@ def test_derive_exponent_n40():
     assert d.max_matches_dominant
 
 
-def test_derive_guard_refuses_before_enumerating():
+def test_derive_guard_refuses_before_enumerating(monkeypatch):
     with pytest.raises(GuardError):
         derive_exponent(3000, 1, 1)
-    with pytest.raises(GuardError):
-        derive_exponent(12, 1, 1, guard=41)  # p(10) = 42 rows
-    assert len(derive_exponent(12, 1, 1, guard=42).chain_exponents) == 42
+    monkeypatch.setenv("ENDOSCOPYLAB_GUARD", "41")
+    with pytest.raises(GuardError, match=r"p\(10\) >= 42 rows"):
+        derive_exponent(12, 1, 1)  # p(10) = 42 rows
+    monkeypatch.setenv("ENDOSCOPYLAB_GUARD", "42")
+    assert len(derive_exponent(12, 1, 1).chain_exponents) == 42
 
 
 def test_dominance_full_packet_ten_blocks():
@@ -236,12 +238,15 @@ def test_dominance_full_packet_ten_blocks():
     assert result.c_psi == coefficient_sum(shape) / c_dom == 512
 
 
-def test_dominance_check_guard_counts_the_table_first():
+def test_dominance_check_guard_counts_the_table_first(monkeypatch):
     shape = from_cohomological((4, 3, 2, 1))  # 2^3 table entries
     packet = trivial_packet(shape)
+    monkeypatch.setenv("ENDOSCOPYLAB_GUARD", "7")
     with pytest.raises(GuardError, match="8 entries"):
-        dominance_check(shape, packet, guard=7)
-    assert dominance_check(shape, packet, guard=8).holds
+        dominance_check(shape, packet)
+    monkeypatch.setenv("ENDOSCOPYLAB_GUARD", "8")
+    assert dominance_check(shape, packet).holds
+    monkeypatch.delenv("ENDOSCOPYLAB_GUARD")
     wide = from_cohomological((1,) * 24)
     single = PacketModel(23, ((GroupChar(23, 0), Fraction(1)),), GroupChar(23, 0))
     with pytest.raises(GuardError):
@@ -254,7 +259,5 @@ def test_i_disc_model_guard_reads_env(monkeypatch):
     monkeypatch.setenv("ENDOSCOPYLAB_GUARD", "7")
     with pytest.raises(GuardError, match="8 entries"):
         i_disc_model(shape, packet)
-    # an explicit cap on dominance_check still governs its own trace
-    assert dominance_check(shape, packet, guard=8).holds
     monkeypatch.setenv("ENDOSCOPYLAB_GUARD", "8")
     assert i_disc_model(shape, packet) == 1

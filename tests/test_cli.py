@@ -6,9 +6,11 @@ import io
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -107,6 +109,44 @@ def test_packet_guard_exit_code(capsys):
         "error: the packet would hold 118264581564861424 members, above the cap 100000"
     ]
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [
+        (
+            ["--a", "200000000", "--b", "0", "--P", "200000000"],
+            0,
+            "packet of P=[200000000] on U(200000000,0): 1 members\n"
+            "  (200000000,0)  R=0  P(t) = 1\n",
+            "",
+        ),
+        (
+            ["--a", "100000000", "--b", "100000000", "--P", "100000000,100000000"],
+            1,
+            "",
+            "error: the packet would hold >= 100000001 members, above the cap 100000\n",
+        ),
+    ],
+    ids=["one member", "refused"],
+)
+def test_huge_packet_parts_run_in_bounded_memory(argv, code, out, err):
+    # a list with one entry per unit of a would need gigabytes: under a 400 MB
+    # address-space limit it fails with MemoryError instead of taking the host
+    limit = 400 * 2**20
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env.pop("ENDOSCOPYLAB_GUARD", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "endoscopylab.cli", "packet", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
 
 
 def test_packet_guard_env_override(capsys, monkeypatch):
@@ -586,3 +626,44 @@ def test_fuzzed_shape_json_ends_cleanly(command, shape_and_N, N_offset, fmt):
 def test_fuzzed_bipartition_json_ends_cleanly(command, bipartition, fmt):
     argv = [command, f"--bipartition={json.dumps(bipartition)}", "--format", fmt]
     assert_clean_outcome(*run_quietly(argv))
+
+
+# Integer and list arguments: small magnitudes, with a drawn cap, so that no
+# example allocates much; the huge-value cases are pinned above.
+
+SMALL = st.integers(-2, 60)
+
+
+def run_under_cap(argv, cap):
+    with mock.patch.dict(os.environ, {"ENDOSCOPYLAB_GUARD": str(cap)}):
+        return run_quietly(argv)
+
+
+@FUZZ
+@given(
+    a=SMALL,
+    parts=st.lists(SMALL, max_size=12),
+    b_offset=st.sampled_from([0, 0, 0, 1, -1]),  # b fills the parts, or misses by one
+    cap=st.integers(1, 2000),
+    fmt=FORMATS,
+)
+def test_fuzzed_packet_integers_end_cleanly(a, parts, b_offset, cap, fmt):
+    b = sum(parts) - a + b_offset
+    argv = ["packet", f"--a={a}", f"--b={b}", f"--P={','.join(map(str, parts))}"]
+    assert_clean_outcome(*run_under_cap(argv + ["--format", fmt], cap))
+
+
+@FUZZ
+@given(
+    command=st.sampled_from(["derive", "sx"]),
+    N=SMALL,
+    a=SMALL,
+    k=st.integers(-2, 31),
+    cap=st.integers(1, 2000),
+    fmt=FORMATS,
+)
+def test_fuzzed_derive_and_sx_integers_end_cleanly(command, N, a, k, cap, fmt):
+    argv = [command, f"--N={N}", f"--k={k}", "--format", fmt]
+    if command == "derive":
+        argv.append(f"--a={a}")
+    assert_clean_outcome(*run_under_cap(argv, cap))

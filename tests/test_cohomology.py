@@ -144,9 +144,14 @@ def test_brute_matches_recurrence():
         assert brute_poincare(B) == poincare_poly(B)
 
 
-def test_brute_guard():
-    with pytest.raises(GuardError):
-        brute_poincare(bp((30, 30)), guard=100)
+def test_brute_guard(monkeypatch):
+    with pytest.raises(GuardError, match="118264581564861424 cells"):
+        brute_poincare(bp((30, 30)))
+    monkeypatch.setenv("ENDOSCOPYLAB_GUARD", "2")  # [3 choose 1] has 3 cells
+    with pytest.raises(GuardError, match="3 cells exceeds the cap 2"):
+        brute_poincare(bp((2, 1)))
+    monkeypatch.setenv("ENDOSCOPYLAB_GUARD", "3")
+    assert brute_poincare(bp((2, 1))) == poincare_poly(bp((2, 1)))
 
 
 small_bipartitions = st.lists(
@@ -209,24 +214,24 @@ def test_packet_counts_match_enumeration():
         assert _packet_count(parts, a) == size
 
 
-def test_packet_guard():
+def test_packet_guard(monkeypatch):
     with pytest.raises(GuardError, match="155117520 members"):
         enumerate_bipartitions(15, 15, (1,) * 30)
-    with pytest.raises(GuardError):
-        enumerate_bipartitions(2, 3, (1,) * 5, guard=9)
-    assert len(enumerate_bipartitions(2, 3, (1,) * 5, guard=10)) == 10
-    with pytest.raises(GuardError):
-        enumerate_bipartitions(3, 3, guard=100)
-    assert len(enumerate_bipartitions(3, 3, guard=1000)) == len(
-        enumerate_bipartitions(3, 3)
-    )
-
-
-def test_packet_guard_reads_env(monkeypatch):
-    monkeypatch.setenv("ENDOSCOPYLAB_GUARD", "9")
-    with pytest.raises(GuardError):
+    reduced = len(enumerate_bipartitions(3, 3))
+    # (1,)^5 on (2, 3): partial-sum windows of width <= 3 and 10 members
+    monkeypatch.setenv("ENDOSCOPYLAB_GUARD", "2")
+    with pytest.raises(GuardError, match="hold >= 3 members, above the cap 2"):
         enumerate_bipartitions(2, 3, (1,) * 5)
-    assert len(enumerate_bipartitions(2, 3, (1,) * 5, guard=10)) == 10
+    monkeypatch.setenv("ENDOSCOPYLAB_GUARD", "9")
+    with pytest.raises(GuardError, match="hold 10 members, above the cap 9"):
+        enumerate_bipartitions(2, 3, (1,) * 5)
+    monkeypatch.setenv("ENDOSCOPYLAB_GUARD", "10")
+    assert len(enumerate_bipartitions(2, 3, (1,) * 5)) == 10
+    monkeypatch.setenv("ENDOSCOPYLAB_GUARD", str(reduced - 1))
+    with pytest.raises(GuardError):
+        enumerate_bipartitions(3, 3)
+    monkeypatch.setenv("ENDOSCOPYLAB_GUARD", str(reduced))
+    assert len(enumerate_bipartitions(3, 3)) == reduced
 
 
 @pytest.mark.parametrize(

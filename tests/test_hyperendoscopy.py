@@ -132,10 +132,13 @@ def test_chains_need_a_shape_or_an_assignment():
         enumerate_chains()
 
 
-def test_chain_guard_trips():
-    shape = from_cohomological((1, 1, 1))
-    with pytest.raises(GuardError):
-        enumerate_chains(shape=shape, guard=5)
+def test_chain_guard_trips(monkeypatch):
+    shape = from_cohomological((1, 1, 1))  # 7 chains
+    monkeypatch.setenv("ENDOSCOPYLAB_GUARD", "6")
+    with pytest.raises(GuardError, match="7 chains"):
+        enumerate_chains(shape=shape)
+    monkeypatch.setenv("ENDOSCOPYLAB_GUARD", "7")
+    assert len(enumerate_chains(shape=shape)) == 7
 
 
 def test_default_guard_blocks_eight_blocks():
@@ -179,14 +182,14 @@ SMALL_PARTS = [
 @pytest.mark.parametrize("parts", SMALL_PARTS, ids=str)
 def test_kernel_equals_enumerated_chain_sum(parts):
     shape = from_cohomological(parts)
-    oracle = _chain_sum((shape,), None)
+    oracle = _chain_sum((shape,))
     assert expand_stable(shape=shape) == oracle
     assert chain_expansion(shape=shape) == oracle
 
 
 def test_kernel_equals_chain_sum_on_labelled_and_product():
-    assert expand_stable(shape=LABELLED) == _chain_sum((LABELLED,), None)
-    assert expand_stable(assignment=PRODUCT) == _chain_sum(PRODUCT, None)
+    assert expand_stable(shape=LABELLED) == _chain_sum((LABELLED,))
+    assert expand_stable(assignment=PRODUCT) == _chain_sum(PRODUCT)
     assert verify_inversion(shape=LABELLED)
     assert verify_inversion(assignment=PRODUCT)
 
@@ -196,7 +199,7 @@ def test_dominant_contribution_splits_labelled_shape():
     evens = ArthurShape((Summand("a", 1, 2), Summand("d", 2, 2)))
     odds = ArthurShape((Summand("a", 2, 1), Summand("b", 1, 3), Summand("c", 3, 1)))
     # ranks 6 against 8: iota = 1/2
-    expected = Fraction(1, 2) * _chain_sum((evens, odds), None)
+    expected = Fraction(1, 2) * _chain_sum((evens, odds))
     assert dominant_contribution(LABELLED) == expected
 
 
@@ -204,7 +207,7 @@ def test_expand_stable_nine_blocks():
     assert len(expand_stable(shape=from_cohomological(tuple(range(1, 10))))) == 21147
 
 
-def test_stable_expansion_guard_counts_terms():
+def test_stable_expansion_guard_counts_terms(monkeypatch):
     ten = from_cohomological((1,) * 10)  # Bell(10) = 115975 terms
     with pytest.raises(GuardError, match="115975 terms"):
         expand_stable(shape=ten)
@@ -213,13 +216,15 @@ def test_stable_expansion_guard_counts_terms():
     with pytest.raises(GuardError):
         dominant_contribution(ten)
     three = from_cohomological((1, 1, 1))  # Bell(3) = 5 terms
-    with pytest.raises(GuardError):
-        expand_stable(shape=three, guard=4)
-    assert len(expand_stable(shape=three, guard=5)) == 5
     mixed = from_cohomological((2, 1, 1, 1))  # Bell(1) * Bell(3) terms
+    monkeypatch.setenv("ENDOSCOPYLAB_GUARD", "4")
     with pytest.raises(GuardError):
-        dominant_contribution(mixed, guard=4)
-    assert len(dominant_contribution(mixed, guard=5)) == 5
+        expand_stable(shape=three)
+    with pytest.raises(GuardError):
+        dominant_contribution(mixed)
+    monkeypatch.setenv("ENDOSCOPYLAB_GUARD", "5")
+    assert len(expand_stable(shape=three)) == 5
+    assert len(dominant_contribution(mixed)) == 5
 
 
 def test_chain_iota_is_the_literal_product_on_every_chain():
@@ -242,7 +247,7 @@ def test_chain_sum_calls_no_kernel_function(monkeypatch):
 
     for name in ("_tree_sum", "_factor_terms", "expand_stable", "chain_expansion"):
         monkeypatch.setattr(hyperendoscopy, name, refuse)
-    assert _chain_sum((shape,), None) == expected
+    assert _chain_sum((shape,)) == expected
 
 
 def test_planted_iota_fault_fails_verify_inversion(monkeypatch):
@@ -264,7 +269,7 @@ def test_planted_sub_sum_fault_fails_the_recursion_check(monkeypatch):
     monkeypatch.setattr(
         hyperendoscopy,
         "_chain_sum",
-        lambda factors, guard: real(factors, guard) * (2 if len(factors) == 2 else 1),
+        lambda factors: real(factors) * (2 if len(factors) == 2 else 1),
     )
     assert not verify_inversion(shape=shape)
 
@@ -284,7 +289,7 @@ COMPOSITIONS = [c for r in range(1, 6) for c in product((1, 2, 3), repeat=r)]
 def test_record_oracle_equals_the_literal_chain_sum():
     cases = [(from_cohomological(c),) for c in COMPOSITIONS]
     for factors in cases + [(LABELLED,), PRODUCT]:
-        assert _chain_sum(factors, None) == literal_chain_sum(factors), factors
+        assert _chain_sum(factors) == literal_chain_sum(factors), factors
 
 
 def test_planted_dropped_plan_fails_verify_inversion(monkeypatch):

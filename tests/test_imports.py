@@ -3,6 +3,7 @@ namespace resolves lazily, and each CLI command loads only what it uses."""
 
 import ast
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -41,6 +42,36 @@ def test_check_sees_an_unused_import():
     assert unused_imports(source) == ["Sequence (line 1)", "os (line 2)"]
 
 
+def guard_error_calls(source: str) -> list[int]:
+    """Lines that construct GuardError, by name or as an attribute."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "GuardError"
+    ]
+
+
+def test_guard_error_is_raised_only_by_the_guards_helper():
+    for path in MODULES:
+        if path.stem != "guards":
+            assert guard_error_calls(path.read_text()) == [], path.stem
+    assert len(guard_error_calls((PACKAGE / "guards.py").read_text())) == 1
+    assert guard_error_calls("raise guards.GuardError('x')\n") == [1]
+
+
+def test_the_cap_is_set_only_through_the_environment():
+    from endoscopylab.guards import guard_limit
+
+    assert len(inspect.signature(guard_limit).parameters) == 1
+    for path in MODULES:
+        module = importlib.import_module(f"endoscopylab.{path.stem}")
+        for name in module.__all__:
+            value = getattr(module, name)
+            if callable(value) and not inspect.isclass(value):
+                assert "guard" not in inspect.signature(value).parameters, name
+
+
 def run_fresh(code: str, *args: str) -> str:
     """Run code in a new interpreter that imports the package from src/."""
     env = dict(os.environ)
@@ -68,14 +99,17 @@ SHAPE = json.dumps(
 @pytest.mark.parametrize(
     "argv, unused",
     [
-        pytest.param(["sx", "--N", "7", "--k", "2"], {"endoscopy", "hyperendoscopy"}, id="sx"),
+        pytest.param(["sx", "--N", "7", "--k", "2"],
+                     {"endoscopy", "hyperendoscopy", "bounds"}, id="sx"),
         pytest.param(["endoscopy", "--N", "6", "--shape", SHAPE],
-                     {"cohomology", "hyperendoscopy"}, id="endoscopy --shape"),
+                     {"cohomology", "hyperendoscopy", "bounds"}, id="endoscopy --shape"),
         pytest.param(["packet", "--a", "3", "--b", "3", "--P", "3,2,1"],
-                     {"endoscopy", "hyperendoscopy"}, id="packet"),
-        pytest.param(["chains", "--shape", SHAPE], {"cohomology"}, id="chains"),
-        pytest.param(["chains", "--shape", SHAPE, "--dominant"], {"cohomology"},
+                     {"endoscopy", "hyperendoscopy", "bounds"}, id="packet"),
+        pytest.param(["chains", "--shape", SHAPE], {"cohomology", "bounds"}, id="chains"),
+        pytest.param(["chains", "--shape", SHAPE, "--dominant"], {"cohomology", "bounds"},
                      id="chains --dominant"),
+        pytest.param(["dominance", "--shape", SHAPE, "--trials", "3"], {"decay"},
+                     id="dominance"),
     ],
 )
 def test_command_loads_only_the_modules_it_uses(argv, unused):
@@ -83,7 +117,7 @@ def test_command_loads_only_the_modules_it_uses(argv, unused):
     assert code == 0
     loaded = {m.split(".", 1)[1] for m in modules}
     assert "cli" in loaded
-    unused = unused | {"bounds", "selftest"}  # no listed command needs these
+    unused = unused | {"selftest"}  # no listed command needs it
     assert loaded.isdisjoint(unused), sorted(loaded & unused)
 
 
@@ -152,6 +186,12 @@ def test_package_still_exports(module, name):
     exec(f"from endoscopylab import {name}", namespace)
     assert namespace[name] is getattr(importlib.import_module(f"endoscopylab.{module}"), name)
     assert name in dir(endoscopylab)
+
+
+def test_random_packet_is_one_function_under_three_names():
+    from endoscopylab import bounds, random_packet, selftest
+
+    assert random_packet is bounds.random_packet is selftest.random_packet
 
 
 def test_unknown_package_name_is_an_import_error():
