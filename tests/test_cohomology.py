@@ -218,6 +218,14 @@ def test_packet_guard(monkeypatch):
     with pytest.raises(GuardError, match="155117520 members"):
         enumerate_bipartitions(15, 15, (1,) * 30)
     reduced = len(enumerate_bipartitions(3, 3))
+    monkeypatch.setenv("ENDOSCOPYLAB_GUARD", str(reduced - 1))
+    with pytest.raises(GuardError):
+        enumerate_bipartitions(3, 3)
+    monkeypatch.setenv("ENDOSCOPYLAB_GUARD", str(reduced))
+    assert len(enumerate_bipartitions(3, 3)) == reduced
+
+
+def test_packet_guard_reads_env(monkeypatch):
     # (1,)^5 on (2, 3): partial-sum windows of width <= 3 and 10 members
     monkeypatch.setenv("ENDOSCOPYLAB_GUARD", "2")
     with pytest.raises(GuardError, match="hold >= 3 members, above the cap 2"):
@@ -227,11 +235,6 @@ def test_packet_guard(monkeypatch):
         enumerate_bipartitions(2, 3, (1,) * 5)
     monkeypatch.setenv("ENDOSCOPYLAB_GUARD", "10")
     assert len(enumerate_bipartitions(2, 3, (1,) * 5)) == 10
-    monkeypatch.setenv("ENDOSCOPYLAB_GUARD", str(reduced - 1))
-    with pytest.raises(GuardError):
-        enumerate_bipartitions(3, 3)
-    monkeypatch.setenv("ENDOSCOPYLAB_GUARD", str(reduced))
-    assert len(enumerate_bipartitions(3, 3)) == reduced
 
 
 @pytest.mark.parametrize(
