@@ -20,7 +20,8 @@ since building a polynomial object per pair cost more than the counting.
 :func:`gaussian_binomial` uses the product formula instead of the Pascal
 recurrence, so no path recurses deeper than the short side of a box, and it
 counts its work on a cache miss and refuses above the chain cap.  Packet
-enumeration counts its members first and refuses above the chain cap.
+enumeration counts its members first, refuses above the chain cap, and then
+lists them without recursion, however many parts the partition has.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .guards import DEFAULT_BRUTE_GUARD, refuse_above
 
@@ -123,18 +124,6 @@ class Bipartition:
     def is_reduced(self) -> bool:
         """Every one-sided pair is a unit (1,0) or (0,1)."""
         return all(x + y == 1 for x, y in self.pairs if x == 0 or y == 0)
-
-    def reduced(self) -> "Bipartition":
-        """Break every one-sided pair into units; mixed pairs stay put."""
-        out: list[tuple[int, int]] = []
-        for x, y in self.pairs:
-            if x and y:
-                out.append((x, y))
-            elif x:
-                out.extend([(1, 0)] * x)
-            else:
-                out.extend([(0, 1)] * y)
-        return Bipartition(tuple(out))
 
     def __str__(self) -> str:
         return "".join(f"({x},{y})" for x, y in self.pairs)
@@ -242,66 +231,64 @@ def _coerce_partition(P: OrderedPartition | Sequence[int]) -> tuple[int, ...]:
 
 
 def enumerate_bipartitions(
-    a: int,
-    b: int,
-    P: OrderedPartition | Sequence[int] | None = None,
+    a: int, b: int, P: OrderedPartition | Sequence[int]
 ) -> list[Bipartition]:
-    """Bipartitions of (a, b): all compatible with P, or all reduced ones.
+    """Bipartitions of (a, b) compatible with P, the members of its packet.
 
-    With P given, members have a_i + b_i = N_i in order and sum a_i = a; the
-    first coordinates run in decreasing lexicographic order.  Without P the
-    result is every reduced bipartition of (a, b).  The members are counted
-    first; above the chain cap the call raises :class:`GuardError` before
-    building any.
+    Members have a_i + b_i = N_i in order and sum a_i = a; the first
+    coordinates run in decreasing lexicographic order.  The members are
+    counted first; above the chain cap the call raises :class:`GuardError`
+    before building any.  The walk keeps its state in one list of chosen
+    pairs, so no length of P makes it recurse.
     """
     if a < 0 or b < 0:
         raise ValueError(f"signature entries must be nonnegative, got ({a}, {b})")
     if a + b < 1:
         raise ValueError("a + b must be positive")
-    if P is None:
-        size = _reduced_count(a, b)
-    else:
-        parts = _coerce_partition(P)
-        if sum(parts) != a + b:
-            raise ValueError(
-                f"partition {parts} has size {sum(parts)}, cannot fill ({a}, {b})"
-            )
-        size = _packet_count(parts, a)
-    refuse_above(size, "the packet would hold {count} members, above the cap {cap}")
-    if P is None:
-        return [Bipartition(p) for p in _reduced_sequences(a, b)]
-    suffix_totals = [*accumulate(reversed(parts), initial=0)][::-1]  # sum(parts[i:])
-
-    out: list[Bipartition] = []
+    parts = _coerce_partition(P)
+    if sum(parts) != a + b:
+        raise ValueError(
+            f"partition {parts} has size {sum(parts)}, cannot fill ({a}, {b})"
+        )
+    windows = _packet_windows(parts, a)
+    refuse_above(
+        _packet_count(parts, windows),
+        "the packet would hold {count} members, above the cap {cap}",
+    )
     # one (a_i, b_i) tuple per position and feasible a_i, shared by every
-    # member: a_i runs down from min(N_i, a) to max(0, N_i - b)
+    # member: options[i][a_i] for a_i from max(0, N_i - b) to min(N_i, a)
     options = [
-        [(x, n - x) for x in range(min(n, a), max(0, n - b) - 1, -1)] for n in parts
+        {x: (x, n - x) for x in range(max(0, n - b), min(n, a) + 1)} for n in parts
     ]
+    out: list[Bipartition] = []
+    chosen: list[tuple[int, int]] = []  # the pairs of the first positions
+    s = 0  # their sum of a_i, inside the window of the last one
+    while True:
+        # fill the open positions, each with the largest a_i its window allows
+        for i in range(len(chosen), len(parts)):
+            x = min(parts[i], windows[i][1] - s)
+            chosen.append(options[i][x])
+            s += x
+        out.append(Bipartition(tuple(chosen)))
+        # back up to the last position whose a_i can still fall by one
+        while chosen:
+            i = len(chosen) - 1
+            x = chosen.pop()[0]
+            s -= x
+            if x and s + x > windows[i][0]:
+                chosen.append(options[i][x - 1])
+                s += x - 1
+                break
+        if not chosen:
+            return out
 
-    def assign(i: int, a_rem: int, chosen: list[tuple[int, int]]) -> None:
-        if i == len(parts):
-            if a_rem == 0:
-                out.append(Bipartition(tuple(chosen)))
-            return
-        top = min(parts[i], a)
-        hi = min(parts[i], a_rem)
-        lo = max(0, a_rem - (suffix_totals[i + 1]))
-        for pair in options[i][top - hi : top - lo + 1]:
-            chosen.append(pair)
-            assign(i + 1, a_rem - pair[0], chosen)
-            chosen.pop()
 
-    assign(0, a, [])
-    return out
-
-
-def _packet_count(parts: tuple[int, ...], a: int) -> int:
-    """Number of (a_i) with 0 <= a_i <= N_i and sum a_i = a, in O(r * window).
+def _packet_windows(parts: tuple[int, ...], a: int) -> list[tuple[int, int]]:
+    """Range [lo, hi] of a_1 + ... + a_i over the members, for each i.
 
     After i parts the partial sum lies in [max(0, a - suffix_i), min(a, prefix_i)],
     and each sum there extends to a member, so a window wider than the chain
-    cap is refused, as a lower bound, before any list is built.
+    cap is refused, as a lower bound on the count, before any list is built.
     """
     total = sum(parts)
     windows = [(max(0, a - total + p), min(a, p)) for p in accumulate(parts)]
@@ -309,6 +296,14 @@ def _packet_count(parts: tuple[int, ...], a: int) -> int:
         max(hi - lo + 1 for lo, hi in windows),
         "the packet would hold >= {count} members, above the cap {cap}",
     )
+    return windows
+
+
+def _packet_count(parts: tuple[int, ...], windows: list[tuple[int, int]]) -> int:
+    """Number of (a_i) with 0 <= a_i <= N_i and partial sums in the windows.
+
+    O(r * window): one count per partial sum in the current window.
+    """
     ways, base = [1], 0  # ways[s - base] over the current window
     for n, (lo, hi) in zip(parts, windows):
         # Each new entry sums ways[s - n .. s], kept as a sliding window.
@@ -323,44 +318,6 @@ def _packet_count(parts: tuple[int, ...], a: int) -> int:
                 window -= ways[j - n - 1]
         ways, base = nxt, lo
     return ways[0]
-
-
-def _reduced_count(a: int, b: int) -> int:
-    """Number of reduced bipartitions of (a, b), in O(a * b).
-
-    By the last pair, (1, 0), (0, 1) or a mixed (x, y):
-    c(i, j) = c(i-1, j) + c(i, j-1) + sum of c(i', j') over i' < i, j' < j.
-    """
-    count = [[0] * (b + 1) for _ in range(a + 1)]
-    # below[i][j] = sum of count[i'][j'] over i' < i, j' < j
-    below = [[0] * (b + 2) for _ in range(a + 2)]
-    for i in range(a + 1):
-        for j in range(b + 1):
-            c = below[i][j] if i or j else 1
-            if i:
-                c += count[i - 1][j]
-            if j:
-                c += count[i][j - 1]
-            count[i][j] = c
-            below[i + 1][j + 1] = below[i][j + 1] + below[i + 1][j] - below[i][j] + c
-    return count[a][b]
-
-
-def _reduced_sequences(a: int, b: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    if a == 0 and b == 0:
-        yield ()
-        return
-    options: list[tuple[int, int]] = []
-    if a >= 1:
-        options.append((1, 0))
-    if b >= 1:
-        options.append((0, 1))
-    for x in range(1, a + 1):
-        for y in range(1, b + 1):
-            options.append((x, y))
-    for x, y in options:
-        for rest in _reduced_sequences(a - x, b - y):
-            yield ((x, y),) + rest
 
 
 def degree_R(B: Bipartition) -> int:

@@ -127,12 +127,26 @@ def test_packet_guard_exit_code(capsys):
             "",
             "error: the packet would hold >= 100000001 members, above the cap 100000\n",
         ),
+        (
+            ["--a", "0", "--b", "5000", "--P", ",".join(["1"] * 5000)],
+            0,
+            "packet of P=[" + ", ".join(["1"] * 5000) + "] on U(0,5000): 1 members\n"
+            "  " + "(0,1)" * 5000 + "  R=0  P(t) = 1\n",
+            "",
+        ),
+        (
+            ["--a", "2", "--b", "4998", "--P", ",".join(["1"] * 5000)],
+            1,
+            "",
+            "error: the packet would hold 12497500 members, above the cap 100000\n",
+        ),
     ],
-    ids=["one member", "refused"],
+    ids=["one member", "refused", "5000 parts", "5000 parts refused"],
 )
 def test_huge_packet_parts_run_in_bounded_memory(argv, code, out, err):
-    # a list with one entry per unit of a would need gigabytes: under a 400 MB
-    # address-space limit it fails with MemoryError instead of taking the host
+    # a list with one entry per unit of a would need gigabytes, and a walk with
+    # one stack frame per part overflows at 1000 parts; under a 400 MB
+    # address-space limit such a regression fails instead of taking the host
     limit = 400 * 2**20
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
@@ -639,15 +653,27 @@ def run_under_cap(argv, cap):
         return run_quietly(argv)
 
 
+@st.composite
+def packet_arguments(draw):
+    """An a and a parts list: a few small integers, or sometimes many ones."""
+    if draw(st.integers(0, 3)):
+        return draw(SMALL), draw(st.lists(SMALL, max_size=12))
+    # a walk deeper than the default recursion limit, with a near 0 or N: one
+    # member, or C(n, 2) members refused; a = 1 is left out, since its n members
+    # of n pairs each would make an example take seconds
+    n = draw(st.integers(1000, 3000))
+    return draw(st.sampled_from([0, 2, n - 2, n])), [1] * n
+
+
 @FUZZ
 @given(
-    a=SMALL,
-    parts=st.lists(SMALL, max_size=12),
+    a_and_parts=packet_arguments(),
     b_offset=st.sampled_from([0, 0, 0, 1, -1]),  # b fills the parts, or misses by one
     cap=st.integers(1, 2000),
     fmt=FORMATS,
 )
-def test_fuzzed_packet_integers_end_cleanly(a, parts, b_offset, cap, fmt):
+def test_fuzzed_packet_integers_end_cleanly(a_and_parts, b_offset, cap, fmt):
+    a, parts = a_and_parts
     b = sum(parts) - a + b_offset
     argv = ["packet", f"--a={a}", f"--b={b}", f"--P={','.join(map(str, parts))}"]
     assert_clean_outcome(*run_under_cap(argv + ["--format", fmt], cap))

@@ -13,7 +13,7 @@ from endoscopylab.cohomology import (
     PoincarePoly,
     _box_partition_counts,
     _packet_count,
-    _reduced_count,
+    _packet_windows,
     bipartition_from_json,
     bipartition_to_json,
     brute_poincare,
@@ -24,7 +24,7 @@ from endoscopylab.cohomology import (
     poincare_poly,
 )
 from endoscopylab.guards import GuardError
-from endoscopylab.selftest import check_poincare_oracle, packet_members
+from endoscopylab.selftest import _compositions, check_poincare_oracle, packet_members
 
 
 def bp(*pairs):
@@ -50,7 +50,6 @@ def test_bipartition_validation():
 def test_reduction():
     B = bp((2, 0), (1, 1), (0, 2))
     assert not B.is_reduced
-    assert B.reduced() == bp((1, 0), (1, 0), (1, 1), (0, 1), (0, 1))
 
 
 def test_enumerate_with_partition_is_ordered():
@@ -63,13 +62,6 @@ def test_enumerate_with_partition_is_ordered():
 def test_enumerate_rejects_size_mismatch():
     with pytest.raises(ValueError):
         enumerate_bipartitions(2, 1, (2, 2))
-
-
-def test_enumerate_reduced_without_partition():
-    members = enumerate_bipartitions(1, 1)
-    assert bp((1, 1)) in members
-    assert bp((1, 0), (0, 1)) in members
-    assert all(B.is_reduced for B in members)
 
 
 def test_discrete_packet_sizes():
@@ -203,26 +195,18 @@ def test_kernel_invariants_on_deck_packet(parts, a, size):
 
 
 def test_packet_counts_match_enumeration():
-    for N in range(1, 8):
-        for a in range(N + 1):
-            assert _reduced_count(a, N - a) == len(enumerate_bipartitions(a, N - a))
-    sizes: dict = {}
-    for B in packet_members(7):
-        key = (B.partition.parts, B.a)
-        sizes[key] = sizes.get(key, 0) + 1
-    for (parts, a), size in sizes.items():
-        assert _packet_count(parts, a) == size
+    for N in range(1, 9):
+        for parts in _compositions(N):
+            for a in range(N + 1):
+                members = enumerate_bipartitions(a, N - a, parts)
+                assert len(members) == _packet_count(parts, _packet_windows(parts, a))
+                firsts = [tuple(x for x, _ in B.pairs) for B in members]
+                assert all(u > v for u, v in zip(firsts, firsts[1:])), (parts, a)
 
 
-def test_packet_guard(monkeypatch):
+def test_packet_guard():
     with pytest.raises(GuardError, match="155117520 members"):
         enumerate_bipartitions(15, 15, (1,) * 30)
-    reduced = len(enumerate_bipartitions(3, 3))
-    monkeypatch.setenv("ENDOSCOPYLAB_GUARD", str(reduced - 1))
-    with pytest.raises(GuardError):
-        enumerate_bipartitions(3, 3)
-    monkeypatch.setenv("ENDOSCOPYLAB_GUARD", str(reduced))
-    assert len(enumerate_bipartitions(3, 3)) == reduced
 
 
 def test_packet_guard_reads_env(monkeypatch):
