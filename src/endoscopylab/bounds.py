@@ -156,7 +156,10 @@ def i_disc_model(shape: ArthurShape, packet: PacketModel) -> Fraction:
     for e in range(1, group.order):
         low = (e & -e).bit_length()  # bit low - 1 toggles block low
         minus_rank[e] = minus_rank[e & (e - 1)] + dims[low]
-    table = [_numerator(shape.r, shape.N, n2) for n2 in minus_rank]
+    # one coefficient per distinct minus rank (at most N + 1), not per entry
+    r, N = shape.r, shape.N
+    by_rank = {n2: _numerator(r, N, n2) for n2 in set(minus_rank)}
+    table = [by_rank[n2] for n2 in minus_rank]
     _walsh_hadamard(table)
     sp = group.from_sign_vector(s_psi(shape))
     total = Fraction(0)

@@ -10,12 +10,16 @@ the cohomology of a product of complex Grassmannians shifted by R.
 over the pairs sums a, b and sum(a_i b_i), skips the one-sided pairs (their
 factor is 1), convolves the cached Gaussian binomials of the mixed pairs, and
 writes the product into every other coefficient from degree R on.  Only the
-result is a :class:`PoincarePoly`.  The oracle :func:`brute_poincare` shares
-none of that code: it counts the partitions in every a_i x b_i box by area
-(the Schubert cells), one-sided boxes included, and multiplies those counts
-with a loop of its own, so the two are independent computations of the same
-polynomial.  It too works in int lists and builds one :class:`PoincarePoly`,
-since building a polynomial object per pair cost more than the counting.
+result is a :class:`PoincarePoly`, built by the private ``_shifted``: the
+coefficient check (exact ints, a nonzero top entry) runs there on the short
+product q, not on the R + 2 deg(q) coefficients of the result, nearly all of
+them t^R zeros.  The oracle :func:`brute_poincare` shares none of that code:
+it counts the partitions in every a_i x b_i box by area (the Schubert cells),
+one-sided boxes included, and multiplies those counts with a loop of its own,
+so the two are independent computations of the same polynomial.  It too
+works in int lists and builds one :class:`PoincarePoly`, through the public
+constructor and its full check, since building a polynomial object per pair
+cost more than the counting.
 
 :func:`gaussian_binomial` uses the product formula instead of the Pascal
 recurrence, so no path recurses deeper than the short side of a box, and it
@@ -143,6 +147,22 @@ class PoincarePoly:
         while n and coeffs[n - 1] == 0:
             n -= 1
         object.__setattr__(self, "coeffs", coeffs[:n])
+
+    @classmethod
+    def _shifted(cls, R: int, q: Sequence[int]) -> "PoincarePoly":
+        """t^R * q(t^2), checking q instead of its R + 2 * len(q) - 1 coefficients.
+
+        q must be non-empty, hold only exact ints and end in a nonzero entry.
+        The result then passes what ``__post_init__`` checks and has no
+        trailing zero to strip, since only int zeros are added around q.
+        """
+        if not (q and q[-1] and _exact_ints(q)):
+            raise ValueError(f"q must be ints ending in a nonzero entry, got {q!r}")
+        coeffs = [0] * (R + 2 * len(q) - 1)
+        coeffs[R::2] = q
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "coeffs", tuple(coeffs))
+        return poly
 
     @classmethod
     def zero(cls) -> "PoincarePoly":
@@ -380,7 +400,8 @@ def poincare_poly(B: Bipartition) -> PoincarePoly:
     """t^R times the product over pairs of [a_i + b_i choose a_i] at t^2.
 
     The product is taken over q = t^2 as an int list; a one-sided pair
-    contributes the factor 1 and is skipped.
+    contributes the factor 1 and is skipped.  The coefficient check runs on
+    q, in :meth:`PoincarePoly._shifted`, not on the t^R padding it adds.
     """
     a = b = cross = 0
     q = [1]
@@ -395,10 +416,7 @@ def poincare_poly(B: Bipartition) -> PoincarePoly:
                 for j, d in enumerate(factor, i):
                     out[j] += c * d
             q = out
-    R = a * b - cross
-    coeffs = [0] * (R + 2 * len(q) - 1)
-    coeffs[R::2] = q
-    return PoincarePoly(tuple(coeffs))
+    return PoincarePoly._shifted(a * b - cross, q)
 
 
 def _box_partition_counts(rows: int, cols: int) -> list[int]:

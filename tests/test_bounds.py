@@ -6,6 +6,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from endoscopylab import bounds
 from endoscopylab.bounds import (
     PacketModel,
     coefficient_sum,
@@ -261,3 +262,20 @@ def test_i_disc_model_guard_reads_env(monkeypatch):
         i_disc_model(shape, packet)
     monkeypatch.setenv("ENDOSCOPYLAB_GUARD", "8")
     assert i_disc_model(shape, packet) == 1
+
+
+def test_i_disc_model_evaluates_each_minus_rank_once(monkeypatch):
+    calls = []
+    honest = bounds._numerator
+
+    def counted(r, N, n2):
+        calls.append(n2)
+        return honest(r, N, n2)
+
+    monkeypatch.setattr(bounds, "_numerator", counted)
+    shape = from_cohomological((2,) + (1,) * 7)  # 2^7 entries, minus ranks 0..7
+    packet = trivial_packet(shape)
+    expected = brute_i_disc(shape, packet, brute_coefficients(shape))
+    calls.clear()
+    assert i_disc_model(shape, packet) == expected
+    assert sorted(calls) == list(range(8))

@@ -1,6 +1,8 @@
 """Bipartitions, Gaussian binomials, and the cohomology polynomials."""
 
 import math
+from itertools import chain
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -174,11 +176,30 @@ def test_bipartition_json_accepts_bare_list():
 
 
 def test_kernel_matches_brute_on_every_packet_member():
+    # every member with N <= 8, plus an all-one-sided member (q = [1]) and a
+    # long pair; the result must also equal the fully checked constructor
     cases = 0
-    for B in packet_members(7):
-        assert poincare_poly(B) == brute_poincare(B), B
+    members = chain(packet_members(8), [bp((1, 0), (0, 2), (3, 0)), bp((1000, 1))])
+    for B in members:
+        poly = poincare_poly(B)
+        coeffs = poly.coeffs
+        assert type(coeffs) is tuple and {int}.issuperset(map(type, coeffs)), B
+        assert coeffs and coeffs[-1], B
+        for other in (PoincarePoly(coeffs), brute_poincare(B)):
+            assert poly == other and hash(poly) == hash(other), B
         cases += 1
-    assert cases == 4615
+    assert cases == 15759 + 2
+
+
+@pytest.mark.parametrize(
+    "factor", [(1, 1.0, 1), (1, 1, 0)], ids=["float coefficient", "zero top entry"]
+)
+def test_planted_gaussian_fault_is_refused_by_the_kernel(monkeypatch, factor):
+    monkeypatch.setattr(
+        cohomology, "gaussian_binomial", lambda n, k: SimpleNamespace(coeffs=factor)
+    )
+    with pytest.raises(ValueError):
+        poincare_poly(bp((1, 1), (2, 0)))
 
 
 @pytest.mark.parametrize(

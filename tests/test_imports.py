@@ -60,6 +60,36 @@ def test_guard_error_is_raised_only_by_the_guards_helper():
     assert guard_error_calls("raise guards.GuardError('x')\n") == [1]
 
 
+def callers(source: str, name: str) -> list[str | None]:
+    """The innermost function around each call of name, by name or as an
+    attribute; None for a call outside every function."""
+    found: list[str | None] = []
+
+    def visit(node: ast.AST, func: str | None) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        elif isinstance(node, ast.Call) and name == getattr(
+            node.func, "id", getattr(node.func, "attr", None)
+        ):
+            found.append(func)
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_only_the_kernel_skips_the_coefficient_check():
+    # _shifted checks only the product q; the oracle and the binomials it is
+    # checked against build through the public constructor and its full check
+    shifted = {path.stem: callers(path.read_text(), "_shifted") for path in MODULES}
+    assert {stem: f for stem, f in shifted.items() if f} == {"cohomology": ["poincare_poly"]}
+    checked = callers((PACKAGE / "cohomology.py").read_text(), "PoincarePoly")
+    assert {"brute_poincare", "gaussian_binomial"} <= set(checked)
+    assert callers("class P:\n    def f(self):\n        return P._shifted(0, [1])\n"
+                   "P._shifted(1, [1])\n", "_shifted") == ["f", None]
+
+
 def test_the_cap_is_set_only_through_the_environment():
     from endoscopylab.guards import guard_limit
 
