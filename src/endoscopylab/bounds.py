@@ -18,7 +18,13 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .cohomology import lowest_degree
-from .endoscopy import EndoscopicDatum, _guarded_sign_group, dominant_group, iota
+from .endoscopy import (
+    EndoscopicDatum,
+    _guarded_sign_group,
+    _subset_ranks,
+    dominant_group,
+    iota,
+)
 from .guards import DEFAULT_CHAIN_GUARD, guard_limit, refuse_above
 from .hyperendoscopy import GroupSymbol
 from .params import (
@@ -151,11 +157,8 @@ def i_disc_model(shape: ArthurShape, packet: PacketModel) -> Fraction:
         raise ValueError(
             f"packet rank {packet.rank} does not match group rank {group.rank}"
         )
-    dims = [s.block_dim for s in shape.summands]
-    minus_rank = [0] * group.order
-    for e in range(1, group.order):
-        low = (e & -e).bit_length()  # bit low - 1 toggles block low
-        minus_rank[e] = minus_rank[e & (e - 1)] + dims[low]
+    # bit i of an element toggles block i + 1
+    minus_rank = _subset_ranks([s.block_dim for s in shape.summands[1:]])
     # one coefficient per distinct minus rank (at most N + 1), not per entry
     r, N = shape.r, shape.N
     by_rank = {n2: _numerator(r, N, n2) for n2 in set(minus_rank)}

@@ -40,7 +40,6 @@ from typing import Iterable, Sequence
 from .guards import DEFAULT_BRUTE_GUARD, refuse_above
 
 __all__ = [
-    "OrderedPartition",
     "Bipartition",
     "PoincarePoly",
     "enumerate_bipartitions",
@@ -57,27 +56,6 @@ __all__ = [
 def _exact_ints(values: Iterable) -> bool:
     """Every value is a plain ``int``: no bool, float, string or int subclass."""
     return {int}.issuperset(map(type, values))
-
-
-@dataclass(frozen=True)
-class OrderedPartition:
-    """Ordered tuple of positive parts."""
-
-    parts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "parts", tuple(self.parts))
-        if not self.parts:
-            raise ValueError("empty partition")
-        if not _exact_ints(self.parts) or any(p < 1 for p in self.parts):
-            raise ValueError(f"parts must be positive integers, got {self.parts}")
-
-    @property
-    def N(self) -> int:
-        return sum(self.parts)
-
-    def __str__(self) -> str:
-        return "(" + ",".join(str(p) for p in self.parts) + ")"
 
 
 @dataclass(frozen=True)
@@ -118,11 +96,6 @@ class Bipartition:
     @property
     def N(self) -> int:
         return self.a + self.b
-
-    @property
-    def partition(self) -> OrderedPartition:
-        """The underlying ordered partition (a_i + b_i)."""
-        return OrderedPartition(tuple(x + y for x, y in self.pairs))
 
     @property
     def is_reduced(self) -> bool:
@@ -244,28 +217,25 @@ class PoincarePoly:
         return " + ".join(terms)
 
 
-def _coerce_partition(P: OrderedPartition | Sequence[int]) -> tuple[int, ...]:
-    if isinstance(P, OrderedPartition):
-        return P.parts
-    return OrderedPartition(tuple(P)).parts
-
-
-def enumerate_bipartitions(
-    a: int, b: int, P: OrderedPartition | Sequence[int]
-) -> list[Bipartition]:
+def enumerate_bipartitions(a: int, b: int, P: tuple[int, ...]) -> list[Bipartition]:
     """Bipartitions of (a, b) compatible with P, the members of its packet.
 
-    Members have a_i + b_i = N_i in order and sum a_i = a; the first
-    coordinates run in decreasing lexicographic order.  The members are
-    counted first; above the chain cap the call raises :class:`GuardError`
-    before building any.  The walk keeps its state in one list of chosen
-    pairs, so no length of P makes it recurse.
+    P is an ordered partition: a non-empty tuple of positive ints.  Members
+    have a_i + b_i = N_i in order and sum a_i = a; the first coordinates run
+    in decreasing lexicographic order.  The members are counted first; above
+    the chain cap the call raises :class:`GuardError` before building any.
+    The walk keeps its state in one list of chosen pairs, so no length of P
+    makes it recurse.
     """
     if a < 0 or b < 0:
         raise ValueError(f"signature entries must be nonnegative, got ({a}, {b})")
     if a + b < 1:
         raise ValueError("a + b must be positive")
-    parts = _coerce_partition(P)
+    parts = tuple(P)
+    if not parts:
+        raise ValueError("empty partition")
+    if not _exact_ints(parts) or any(p < 1 for p in parts):
+        raise ValueError(f"parts must be positive integers, got {parts}")
     if sum(parts) != a + b:
         raise ValueError(
             f"partition {parts} has size {sum(parts)}, cannot fill ({a}, {b})"

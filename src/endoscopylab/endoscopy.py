@@ -4,9 +4,11 @@ An elliptic endoscopic group of U(N) is a product U(n1) x U(n2) with
 n1 + n2 = N, determined by the unordered pair {n1, n2}; the transfer factor
 normalization attaches the character pair kappa = ((-1)^(N-n1), (-1)^(N-n2)).
 Elements of a shape's sign group correspond bijectively to such data together
-with a two-way split of the blocks.  The module also carries the real and
-p-adic Kottwitz signs and the parity bookkeeping that decides which
-collections of local unitary groups glue to a global inner form.
+with a two-way split of the blocks.  A set of blocks is an int mask, bit i
+standing for block i, and every split is made from two masks by
+``_split_at``.  The module also carries the real and p-adic Kottwitz signs
+and the parity bookkeeping that decides which collections of local unitary
+groups glue to a global inner form.
 """
 
 from __future__ import annotations
@@ -163,15 +165,28 @@ def make_split(
     return ParameterSplit(a, b)
 
 
-def _split_under(
-    shape: ArthurShape, vector: BlockSignVector
-) -> tuple[EndoscopicDatum, ParameterSplit]:
-    """Datum and split of one sign vector: its minus-blocks against its plus-blocks."""
-    minus = set(vector.minus_indices)
-    plus_part = tuple(s for i, s in enumerate(shape.summands) if i not in minus)
-    minus_part = tuple(s for i, s in enumerate(shape.summands) if i in minus)
-    split = make_split(plus_part, minus_part)
-    return split.datum, split
+def _at(items: Sequence, mask: int) -> tuple:
+    """The items at the set bits of mask, lowest bit first."""
+    return tuple(items[i] for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _subset_ranks(dims: Sequence[int]) -> list[int]:
+    """Entry m is the sum of dims over the set bits of m, for m < 2^len(dims)."""
+    ranks = [0]
+    for d in dims:
+        ranks += [rank + d for rank in ranks]
+    return ranks
+
+
+def _split_at(
+    shape: ArthurShape, T: int, Tc: int
+) -> tuple[tuple[Summand, ...], ParameterSplit]:
+    """The blocks at mask T, and :func:`make_split` of them against those at Tc.
+
+    Bit i of a mask stands for block i of the shape.
+    """
+    lead = _at(shape.summands, T)
+    return lead, make_split(lead, _at(shape.summands, Tc))
 
 
 def _guarded_sign_group(shape: ArthurShape) -> TwoGroup:
@@ -199,10 +214,12 @@ def bijection(
     the chain cap.
     """
     group = _guarded_sign_group(shape)
+    full = (1 << shape.r) - 1
     out: dict[BlockSignVector, tuple[EndoscopicDatum, ParameterSplit]] = {}
     for element in group.elements:
-        vector = group.to_sign_vector(element)
-        out[vector] = _split_under(shape, vector)
+        minus = element << 1  # bit i of the element toggles block i + 1
+        split = _split_at(shape, full ^ minus, minus)[1]
+        out[group.to_sign_vector(element)] = (split.datum, split)
     return out
 
 
@@ -214,8 +231,11 @@ def dominant_group(shape: ArthurShape) -> tuple[EndoscopicDatum, ParameterSplit]
     is the improper datum with the trivial split.  Costs O(r): only the one
     entry of :func:`bijection` is built.
     """
-    centralizer_group(shape)  # rejects a non-elliptic shape, as bijection does
-    return _split_under(shape, s_psi(shape))
+    # centralizer_group rejects a non-elliptic shape, as bijection does
+    group = centralizer_group(shape)
+    minus = group.from_sign_vector(s_psi(shape)) << 1
+    split = _split_at(shape, ((1 << shape.r) - 1) ^ minus, minus)[1]
+    return split.datum, split
 
 
 def kottwitz_sign_real(p: int, q: int) -> int:

@@ -27,21 +27,25 @@ terms per factor, which the chain guard caps before anything runs.
 
 The independent oracle is the enumerated chain sum.  Both it and
 :func:`enumerate_chains` take every refinement forest from the same plans:
-per block count r (the only cache key), every binary tree over the bit
-positions 0..r-1, a node holding the two submasks of its split and a leaf
-the mask of its part.  :func:`enumerate_chains` turns each choice of one
-plan per factor into a :class:`HyperChain`, handing out one shared
-:class:`ChainStep` per step position and split.  :func:`verify_inversion`
-instead walks each choice as an integer record: the leaves give the chain's
-terminal parts as masks over all the factors' blocks, and the nodes give its
-steps, each worth -iota of the split :func:`make_split` makes of its blocks.
-The record walk streams, sums the chains term by term as ints, checks the
-recursion with that sum and compares it with the kernel term by term.  It
-stays independent because it never groups trees: it visits every chain and
-weighs it by the product of its own steps' iota values, so a wrong tree
-weight or a wrong part in the kernel cannot hide in both.  A dict that lives
-for one call keeps each distinct split's iota, and each term becomes a
-canonical factor tuple and a Fraction once, after its chains are summed.
+per block count r (the only cache key), every binary tree over the submasks
+of the full mask 2^r - 1, a node holding the two submasks of its split and a
+leaf the mask of its part.  Every split of a mask, here, in the kernel's
+tree sum and in :func:`verify_inversion`, comes from one generator,
+:func:`_splits`, which yields each unordered pair once, the side holding the
+lowest bit first, in ascending order of that side.  :func:`enumerate_chains`
+turns each choice of one plan per factor into a :class:`HyperChain`, handing
+out one shared :class:`ChainStep` per step position and split.
+:func:`verify_inversion` instead walks each choice as an integer record: the
+leaves give the chain's terminal parts as masks over all the factors'
+blocks, and the nodes give its steps, each worth -iota of the split
+:func:`make_split` makes of its blocks.  The record walk streams, sums the
+chains term by term as ints, checks the recursion with that sum and compares
+it with the kernel term by term.  It stays independent because it never
+groups trees: it visits every chain and weighs it by the product of its own
+steps' iota values, so a wrong tree weight or a wrong part in the kernel
+cannot hide in both.  A dict that lives for one call keeps each distinct
+split's iota, and each term becomes a canonical factor tuple and a Fraction
+once, after its chains are summed.
 """
 
 from __future__ import annotations
@@ -52,9 +56,16 @@ from functools import lru_cache
 from itertools import product
 from math import comb, lcm, prod
 from operator import itemgetter
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .endoscopy import EndoscopicDatum, ParameterSplit, iota, make_split
+from .endoscopy import (
+    EndoscopicDatum,
+    ParameterSplit,
+    _at,
+    _split_at,
+    _subset_ranks,
+    iota,
+)
 from .guards import refuse_above
 from .params import ArthurShape, Summand, is_elliptic, s_psi
 from . import endoscopy
@@ -163,6 +174,12 @@ def canonical_factors(factors: Iterable[ArthurShape]) -> tuple[ArthurShape, ...]
     canon = [f.canonical() for f in factors]
     canon.sort(key=_factor_key)
     return tuple(canon)
+
+
+def _canonical_part(blocks: Sequence[Summand], mask: int) -> tuple[tuple, ArthurShape]:
+    """The blocks at mask as a canonical shape, with its :func:`_factor_key`."""
+    part = ArthurShape(tuple(sorted(_at(blocks, mask))))
+    return _factor_key(part), part
 
 
 FactorKey = tuple[ArthurShape, ...]
@@ -285,15 +302,18 @@ class FormalDist:
 _Plan = Union[int, tuple[int, int, "_Plan", "_Plan"]]
 
 
-@lru_cache(maxsize=None)
-def _proper_splits(k: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """Unordered proper two-way splits of positions 0..k-1; T holds position 0."""
-    out = []
-    for bits in range((1 << max(k - 1, 0)) - 1):
-        T = (0,) + tuple(i for i in range(1, k) if bits >> (i - 1) & 1)
-        Tc = tuple(i for i in range(1, k) if not bits >> (i - 1) & 1)
-        out.append((T, Tc))
-    return tuple(out)
+def _splits(mask: int) -> Iterator[tuple[int, int]]:
+    """Each unordered proper split (T, mask ^ T) of a mask once.
+
+    T holds the mask's lowest bit, and T comes in ascending order.
+    """
+    low = mask & -mask
+    rest = mask ^ low
+    sub = 0
+    while sub != rest:
+        T = low | sub
+        yield T, mask ^ T
+        sub = (sub - rest) & rest  # the next submask of rest, ascending
 
 
 @lru_cache(maxsize=None)
@@ -308,34 +328,17 @@ def _plan_count(r: int) -> int:
     return total
 
 
-def _positions(mask: int) -> tuple[int, ...]:
-    """The set bits of a mask, lowest first."""
-    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
-
-
-def _split_at(
-    shape: ArthurShape, T: int, Tc: int
-) -> tuple[tuple[Summand, ...], ParameterSplit]:
-    """The blocks at mask T, and :func:`make_split` of them against those at Tc."""
-    blocks = shape.summands
-    lead = tuple(map(blocks.__getitem__, _positions(T)))
-    return lead, make_split(lead, tuple(map(blocks.__getitem__, _positions(Tc))))
-
-
 @lru_cache(maxsize=None)
 def _plans(r: int) -> tuple[_Plan, ...]:
-    """Every refinement forest on one factor of r blocks, over positions 0..r-1."""
+    """Every refinement forest on one factor of r blocks; bit i is block i."""
     memo: dict[int, tuple[_Plan, ...]] = {}
 
     def plans_of(mask: int) -> tuple[_Plan, ...]:
         cached = memo.get(mask)
         if cached is not None:
             return cached
-        positions = _positions(mask)
         out: list[_Plan] = [mask]
-        for t, tc in _proper_splits(len(positions)):
-            T = sum(1 << positions[i] for i in t)
-            Tc = mask ^ T
+        for T, Tc in _splits(mask):
             for plan_t in plans_of(T):
                 for plan_c in plans_of(Tc):
                     out.append((T, Tc, plan_t, plan_c))
@@ -504,9 +507,7 @@ def _chain_sum(factors: tuple[ArthurShape, ...]) -> FormalDist:
         for mask in term:
             known = canon.get(mask)
             if known is None:
-                picked = map(blocks.__getitem__, _positions(mask))
-                part = ArthurShape(tuple(sorted(picked)))
-                canon[mask] = known = (_factor_key(part), part)
+                canon[mask] = known = _canonical_part(blocks, mask)
             shapes.append(known)
         shapes.sort(key=itemgetter(0))
         terms[tuple(part for _, part in shapes)] = Fraction(num, den)
@@ -526,8 +527,9 @@ def _bell(r: int) -> int:
     return row[0]
 
 
-def _picker(positions: tuple[int, ...]) -> itemgetter:
-    """Getter of the items at these positions, always as a tuple."""
+def _picker(mask: int) -> itemgetter:
+    """Getter of the items at the set bits of mask, always as a tuple."""
+    positions = _at(range(mask.bit_length()), mask)
     if len(positions) == 1:
         # a single index would give the bare item; a slice gives a 1-tuple
         return itemgetter(slice(positions[0], positions[0] + 1))
@@ -536,8 +538,8 @@ def _picker(positions: tuple[int, ...]) -> itemgetter:
 
 @lru_cache(maxsize=None)
 def _split_pickers(k: int) -> tuple[tuple[itemgetter, itemgetter], ...]:
-    """:func:`_proper_splits` of k positions as getters of the two sides."""
-    return tuple((_picker(T), _picker(Tc)) for T, Tc in _proper_splits(k))
+    """:func:`_splits` of k items as getters of the two sides."""
+    return tuple((_picker(T), _picker(Tc)) for T, Tc in _splits((1 << k) - 1))
 
 
 def _tree_sum(ranks: tuple[int, ...], memo: dict[tuple[int, ...], int]) -> int:
@@ -574,15 +576,8 @@ def _factor_terms(
     """
     blocks = shape.summands
     full = (1 << len(blocks)) - 1
-    rank = [0] * (full + 1)
-    part: list = [None] * (full + 1)
-    for mask in range(1, full + 1):
-        low = mask & -mask
-        rank[mask] = rank[mask ^ low] + blocks[low.bit_length() - 1].block_dim
-        canon = ArthurShape(
-            tuple(sorted(b for i, b in enumerate(blocks) if mask >> i & 1))
-        )
-        part[mask] = (_factor_key(canon), canon)
+    rank = _subset_ranks([b.block_dim for b in blocks])
+    part = [None] + [_canonical_part(blocks, mask) for mask in range(1, full + 1)]
     out: list[tuple[list[tuple[tuple, ArthurShape]], int, int]] = []
 
     def walk(rest: int, chosen: tuple[int, ...]) -> None:
@@ -673,10 +668,8 @@ def verify_inversion(
         residual = dict(cs._terms)
         unit = canonical_factors((shp,))
         residual[unit] = residual.get(unit, 0) - 1
-        for T, Tc in _proper_splits(shp.r):
-            split = make_split(
-                tuple(shp.summands[i] for i in T), tuple(shp.summands[i] for i in Tc)
-            )
+        for T, Tc in _splits((1 << shp.r) - 1):
+            split = _split_at(shp, T, Tc)[1]
             weight = iota(split.datum)
             sub = _chain_sum((ArthurShape(split.part1), ArthurShape(split.part2)))
             for key, value in sub._terms.items():

@@ -221,8 +221,6 @@ def from_cohomological(parts: Iterable[int] | Sequence[int]) -> ArthurShape:
     Each part becomes a block of rank one paired with nu(N_i); labels are
     fresh and pairwise distinct, so the result is elliptic.
     """
-    if hasattr(parts, "parts"):
-        parts = parts.parts  # type: ignore[union-attr]
     parts = tuple(parts)
     if not parts:
         raise ValueError("empty partition")

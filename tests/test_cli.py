@@ -115,45 +115,67 @@ def test_packet_guard_exit_code(capsys):
     "argv, code, out, err",
     [
         (
-            ["--a", "200000000", "--b", "0", "--P", "200000000"],
+            ["packet", "--a", "200000000", "--b", "0", "--P", "200000000"],
             0,
             "packet of P=[200000000] on U(200000000,0): 1 members\n"
             "  (200000000,0)  R=0  P(t) = 1\n",
             "",
         ),
         (
-            ["--a", "100000000", "--b", "100000000", "--P", "100000000,100000000"],
+            ["packet", "--a", "100000000", "--b", "100000000", "--P", "100000000,100000000"],
             1,
             "",
             "error: the packet would hold >= 100000001 members, above the cap 100000\n",
         ),
         (
-            ["--a", "0", "--b", "5000", "--P", ",".join(["1"] * 5000)],
+            ["packet", "--a", "0", "--b", "5000", "--P", ",".join(["1"] * 5000)],
             0,
             "packet of P=[" + ", ".join(["1"] * 5000) + "] on U(0,5000): 1 members\n"
             "  " + "(0,1)" * 5000 + "  R=0  P(t) = 1\n",
             "",
         ),
         (
-            ["--a", "2", "--b", "4998", "--P", ",".join(["1"] * 5000)],
+            ["packet", "--a", "2", "--b", "4998", "--P", ",".join(["1"] * 5000)],
             1,
             "",
             "error: the packet would hold 12497500 members, above the cap 100000\n",
         ),
+        (
+            ["poincare", "--bipartition", "[[50000,0],[0,50000]]"],
+            1,
+            "",
+            "error: a Poincare polynomial on U(50000,50000) would have degree"
+            " >= 2500000000, above the cap 1000000\n",
+        ),
+        (
+            ["packet", "--a", "50000", "--b", "50000", "--P", "50000,50000"],
+            1,
+            "",
+            "error: a Poincare polynomial on U(50000,50000) would have degree"
+            " >= 2500000000, above the cap 1000000\n",
+        ),
     ],
-    ids=["one member", "refused", "5000 parts", "5000 parts refused"],
+    ids=[
+        "one member",
+        "refused",
+        "5000 parts",
+        "5000 parts refused",
+        "poincare degree refused",
+        "packet degree refused",
+    ],
 )
 def test_huge_packet_parts_run_in_bounded_memory(argv, code, out, err):
-    # a list with one entry per unit of a would need gigabytes, and a walk with
-    # one stack frame per part overflows at 1000 parts; under a 400 MB
-    # address-space limit such a regression fails instead of taking the host
+    # a list with one entry per unit of a would need gigabytes, as would a
+    # polynomial of degree ab = 2.5e9, and a walk with one stack frame per part
+    # overflows at 1000 parts; under a 400 MB address-space limit such a
+    # regression fails instead of taking the host
     limit = 400 * 2**20
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env.pop("ENDOSCOPYLAB_GUARD", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "endoscopylab.cli", "packet", *argv],
+        [sys.executable, "-m", "endoscopylab.cli", *argv],
         env=env,
         capture_output=True,
         text=True,

@@ -6,13 +6,15 @@ from itertools import combinations_with_replacement, product
 import pytest
 
 from endoscopylab import hyperendoscopy
-from endoscopylab.endoscopy import iota
+from endoscopylab.endoscopy import _subset_ranks, iota
 from endoscopylab.guards import GuardError
 from endoscopylab.hyperendoscopy import (
     FormalDist,
     GroupSymbol,
     _chain_sum,
     _plan_count,
+    _plans,
+    _splits,
     chain_expansion,
     chain_iota,
     dominant_contribution,
@@ -23,6 +25,7 @@ from endoscopylab.hyperendoscopy import (
 from endoscopylab.params import ArthurShape, Summand, from_cohomological
 from endoscopylab.selftest import _LABELLED_SHAPE as LABELLED
 from endoscopylab.selftest import _PRODUCT_ASSIGNMENT as PRODUCT
+from endoscopylab.selftest import hyperchain_sum as literal_chain_sum
 
 
 def shapes_of(*parts_list):
@@ -68,6 +71,27 @@ PLAN_COUNTS = {1: 1, 2: 2, 3: 7, 4: 41, 5: 346, 6: 3797, 7: 51157, 8: 816356}
 @pytest.mark.parametrize("r,count", sorted(PLAN_COUNTS.items()))
 def test_plan_counts(r, count):
     assert _plan_count(r) == count
+    if r <= 6:  # the plans themselves, kept small
+        assert len(_plans(r)) == count
+
+
+def test_splits_yield_each_two_way_split_once():
+    for mask in range(1 << 10):
+        pairs = list(_splits(mask))
+        assert len(pairs) == max(2 ** (mask.bit_count() - 1) - 1, 0), mask
+        low = mask & -mask
+        for T, Tc in pairs:
+            assert T & low and T | Tc == mask and not T & Tc, (mask, T, Tc)
+        assert [T for T, _ in pairs] == sorted({T for T, _ in pairs}), mask
+
+
+def test_subset_ranks_are_the_sums_over_the_bits():
+    dims = [3, 1, 4, 1, 5, 9]
+    ranks = _subset_ranks(dims)
+    assert len(ranks) == 1 << len(dims)
+    for m, rank in enumerate(ranks):
+        assert rank == sum(d for i, d in enumerate(dims) if m >> i & 1), m
+    assert _subset_ranks([]) == [0]
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
@@ -274,14 +298,6 @@ def test_planted_sub_sum_fault_fails_the_recursion_check(monkeypatch):
     assert not verify_inversion(shape=shape)
 
 
-def literal_chain_sum(factors):
-    """iota(chain) * I^{terminal}, summed over the public chain objects."""
-    return FormalDist(
-        (chain.terminal_factors(), chain_iota(chain))
-        for chain in enumerate_chains(assignment=factors)
-    )
-
-
 # every composition with parts <= 3 and r <= 5, in every order of its parts
 COMPOSITIONS = [c for r in range(1, 6) for c in product((1, 2, 3), repeat=r)]
 
@@ -323,7 +339,7 @@ def test_record_oracle_builds_no_chain_objects(monkeypatch):
 
 def test_verify_inversion_leaves_the_caches_keyed_by_block_count():
     caches = [f for f in vars(hyperendoscopy).values() if hasattr(f, "cache_info")]
-    for name in ("_plans", "_proper_splits", "_split_pickers"):
+    for name in ("_plans", "_split_pickers"):
         assert getattr(hyperendoscopy, name) in caches
     for cache in caches:
         cache.cache_clear()

@@ -90,6 +90,12 @@ def test_only_the_kernel_skips_the_coefficient_check():
                    "P._shifted(1, [1])\n", "_shifted") == ["f", None]
 
 
+def test_blocks_are_split_only_through_the_mask_helper():
+    # every split of a shape's blocks is made from two masks by _split_at
+    made = {path.stem: callers(path.read_text(), "make_split") for path in MODULES}
+    assert {stem: f for stem, f in made.items() if f} == {"endoscopy": ["_split_at"]}
+
+
 def test_the_cap_is_set_only_through_the_environment():
     from endoscopylab.guards import guard_limit
 
@@ -195,7 +201,7 @@ EAGER_EXPORTS = {
         "verify_inversion",
     ],
     "cohomology": [
-        "Bipartition", "OrderedPartition", "PoincarePoly", "brute_poincare", "degree_R",
+        "Bipartition", "PoincarePoly", "brute_poincare", "degree_R",
         "enumerate_bipartitions", "gaussian_binomial", "lowest_degree", "poincare_poly",
     ],
     "decay": ["DecayProfile", "SxResult", "p_bound_of_bipartition", "ratio_profile", "sx_check"],
