@@ -31,6 +31,7 @@ from .params import (
     ArthurShape,
     BlockSignVector,
     GroupChar,
+    _is_exact_number,
     centralizer_group,
     from_cohomological,
     num_json,
@@ -62,15 +63,18 @@ class PacketModel:
     epsilon: GroupChar
 
     def __post_init__(self) -> None:
-        members = tuple((chi, Fraction(t)) for chi, t in self.members)
-        object.__setattr__(self, "members", members)
         if self.epsilon.rank != self.rank:
             raise ValueError("epsilon character has mismatched group rank")
-        for chi, trace in members:
+        members = []
+        for chi, trace in self.members:
+            if not _is_exact_number(trace):
+                raise ValueError(f"traces must be int or Fraction, got {trace!r}")
             if chi.rank != self.rank:
                 raise ValueError("member character has mismatched group rank")
             if trace < 0:
                 raise ValueError(f"negative trace {trace} in packet")
+            members.append((chi, Fraction(trace)))
+        object.__setattr__(self, "members", tuple(members))
 
     @property
     def trace_total(self) -> Fraction:

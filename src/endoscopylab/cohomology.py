@@ -137,10 +137,6 @@ class PoincarePoly:
         object.__setattr__(poly, "coeffs", tuple(coeffs))
         return poly
 
-    @classmethod
-    def zero(cls) -> "PoincarePoly":
-        return cls(())
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -157,27 +153,6 @@ class PoincarePoly:
             if c:
                 return i
         return -1
-
-    def __add__(self, other: "PoincarePoly") -> "PoincarePoly":
-        if not isinstance(other, PoincarePoly):
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (0,) * (n - len(self.coeffs))
-        b = other.coeffs + (0,) * (n - len(other.coeffs))
-        return PoincarePoly(tuple(x + y for x, y in zip(a, b)))
-
-    def __mul__(self, other: "PoincarePoly") -> "PoincarePoly":
-        if not isinstance(other, PoincarePoly):
-            return NotImplemented
-        if self.is_zero or other.is_zero:
-            return PoincarePoly.zero()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, x in enumerate(self.coeffs):
-            if not x:
-                continue
-            for j, y in enumerate(other.coeffs):
-                out[i + j] += x * y
-        return PoincarePoly(tuple(out))
 
     def shift(self, k: int) -> "PoincarePoly":
         """Multiply by t^k."""

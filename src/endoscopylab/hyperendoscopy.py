@@ -67,7 +67,7 @@ from .endoscopy import (
     iota,
 )
 from .guards import refuse_above
-from .params import ArthurShape, Summand, is_elliptic, s_psi
+from .params import ArthurShape, Summand, _is_exact_number, is_elliptic, s_psi
 from . import endoscopy
 
 __all__ = [
@@ -190,8 +190,9 @@ class FormalDist:
     """Exact linear combination of distribution symbols I^{factored parameter}.
 
     Keys are canonical factor tuples; zero coefficients are never stored.
-    Supports addition, subtraction, scalar multiplication, and the tensor
-    product that concatenates factor tuples.
+    The constructor canonicalizes the keys and sums repeated ones; each
+    coefficient must be an int or a Fraction, never a bool.  A distribution
+    can be read term by term and scaled by an exact number.
     """
 
     __slots__ = ("_terms",)
@@ -201,8 +202,10 @@ class FormalDist:
         if terms is not None:
             items = terms.items() if isinstance(terms, Mapping) else terms
             for key, value in items:
+                if not _is_exact_number(value):
+                    raise ValueError(f"coefficients must be int or Fraction, got {value!r}")
                 key = canonical_factors(key)
-                coeff = data.get(key, Fraction(0)) + Fraction(value)
+                coeff = data.get(key, Fraction(0)) + value
                 if coeff:
                     data[key] = coeff
                 else:
@@ -210,8 +213,11 @@ class FormalDist:
         self._terms = data
 
     @classmethod
-    def unit(cls, factors: Iterable[ArthurShape]) -> "FormalDist":
-        return cls({tuple(factors): Fraction(1)})
+    def _of(cls, terms: dict[FactorKey, Fraction]) -> "FormalDist":
+        """Wrap terms whose keys are canonical and whose values are nonzero."""
+        dist = object.__new__(cls)
+        dist._terms = terms
+        return dist
 
     def items(self) -> list[tuple[FactorKey, Fraction]]:
         return sorted(
@@ -221,64 +227,17 @@ class FormalDist:
     def coefficient(self, factors: Iterable[ArthurShape]) -> Fraction:
         return self._terms.get(canonical_factors(factors), Fraction(0))
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
     def __len__(self) -> int:
         return len(self._terms)
-
-    def __add__(self, other: "FormalDist") -> "FormalDist":
-        if not isinstance(other, FormalDist):
-            return NotImplemented
-        out = dict(self._terms)
-        for key, value in other._terms.items():
-            coeff = out.get(key, Fraction(0)) + value
-            if coeff:
-                out[key] = coeff
-            else:
-                out.pop(key, None)
-        result = FormalDist()
-        result._terms = out
-        return result
-
-    def __neg__(self) -> "FormalDist":
-        result = FormalDist()
-        result._terms = {k: -v for k, v in self._terms.items()}
-        return result
-
-    def __sub__(self, other: "FormalDist") -> "FormalDist":
-        if not isinstance(other, FormalDist):
-            return NotImplemented
-        return self + (-other)
 
     def __mul__(self, scalar: Fraction | int) -> "FormalDist":
         if not isinstance(scalar, (Fraction, int)):
             return NotImplemented
         scalar = Fraction(scalar)
-        result = FormalDist()
-        if scalar:
-            result._terms = {k: v * scalar for k, v in self._terms.items()}
-        return result
+        terms = {k: v * scalar for k, v in self._terms.items()} if scalar else {}
+        return FormalDist._of(terms)
 
     __rmul__ = __mul__
-
-    def tensor(self, other: "FormalDist") -> "FormalDist":
-        out: dict[FactorKey, Fraction] = {}
-        for key1, value1 in self._terms.items():
-            for key2, value2 in other._terms.items():
-                key = canonical_factors(key1 + key2)
-                coeff = out.get(key, Fraction(0)) + value1 * value2
-                if coeff:
-                    out[key] = coeff
-                else:
-                    out.pop(key, None)
-        result = FormalDist()
-        result._terms = out
-        return result
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FormalDist):
@@ -390,19 +349,11 @@ def _linearize(
 def _resolve_assignment(
     shape: ArthurShape | None, assignment: Sequence[ArthurShape] | None
 ) -> tuple[ArthurShape, ...]:
-    if assignment is not None:
-        factors = tuple(assignment)
-        if not factors:
-            raise ValueError("assignment needs at least one factor")
-        if shape is not None:
-            declared = sorted(s.key for f in factors for s in f.summands)
-            expected = sorted(s.key for s in shape.summands)
-            if declared != expected:
-                raise ValueError("assignment does not redistribute the shape's blocks")
-    else:
-        if shape is None:
-            raise ValueError("either a shape or an explicit assignment is required")
-        factors = (shape,)
+    if (shape is None) == (assignment is None):
+        raise ValueError("give exactly one of a shape and an explicit assignment")
+    factors = (shape,) if assignment is None else tuple(assignment)
+    if not factors:
+        raise ValueError("assignment needs at least one factor")
     combined = ArthurShape(tuple(s for f in factors for s in f.summands))
     if not is_elliptic(combined):
         raise ValueError(f"shape is not elliptic: {combined}")
@@ -511,9 +462,7 @@ def _chain_sum(factors: tuple[ArthurShape, ...]) -> FormalDist:
             shapes.append(known)
         shapes.sort(key=itemgetter(0))
         terms[tuple(part for _, part in shapes)] = Fraction(num, den)
-    result = FormalDist()
-    result._terms = terms
-    return result
+    return FormalDist._of(terms)
 
 
 def _bell(r: int) -> int:
@@ -640,9 +589,7 @@ def expand_stable(
             splits += factor_splits
         parts.sort(key=itemgetter(0))
         terms[tuple(canon for _, canon in parts)] = Fraction(num, 4**splits)
-    result = FormalDist()
-    result._terms = terms
-    return result
+    return FormalDist._of(terms)
 
 
 def verify_inversion(
@@ -653,19 +600,20 @@ def verify_inversion(
 
     The chain sum here is the enumerated one, walked chain by chain as
     integer records without building chain objects, and it must agree term
-    by term with the kernel of :func:`expand_stable`; for a
-    product assignment it must also equal the tensor product of the
-    per-factor chain sums.
+    by term with the kernel of :func:`expand_stable`.  It must then satisfy
+    the recursion, checked as one residual dict that ends all zero: for a
+    single factor the chain sum minus I^{shape} plus iota times the chain
+    sum of each split, and for a product assignment the chain sum minus the
+    product of the per-factor chain sums, each product of terms keyed by
+    :func:`canonical_factors`.
     """
     factors = _resolve_assignment(shape, assignment)
     cs = _chain_sum(factors)
     if cs != expand_stable(assignment=factors):
         return False
+    residual = dict(cs._terms)
     if len(factors) == 1:
         shp = factors[0]
-        # cs - I^{shp} + sum of iota * (sub-chain sum) over the splits, summed
-        # into one dict in place
-        residual = dict(cs._terms)
         unit = canonical_factors((shp,))
         residual[unit] = residual.get(unit, 0) - 1
         for T, Tc in _splits((1 << shp.r) - 1):
@@ -674,11 +622,12 @@ def verify_inversion(
             sub = _chain_sum((ArthurShape(split.part1), ArthurShape(split.part2)))
             for key, value in sub._terms.items():
                 residual[key] = residual.get(key, 0) + weight * value
-        return not any(residual.values())
-    product_dist = FormalDist({(): Fraction(1)})
-    for f in factors:
-        product_dist = product_dist.tensor(_chain_sum((f,)))
-    return (cs - product_dist).is_zero
+    else:
+        per_factor = [_chain_sum((f,))._terms.items() for f in factors]
+        for combo in product(*per_factor):
+            key = canonical_factors(part for factor_key, _ in combo for part in factor_key)
+            residual[key] = residual.get(key, 0) - prod(value for _, value in combo)
+    return not any(residual.values())
 
 
 def dominant_contribution(shape: ArthurShape) -> FormalDist:

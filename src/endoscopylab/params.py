@@ -32,6 +32,11 @@ __all__ = [
 ]
 
 
+def _is_exact_number(value) -> bool:
+    """An ``int`` or a ``Fraction``: no bool, float, string or int subclass."""
+    return type(value) is int or isinstance(value, Fraction)
+
+
 @dataclass(frozen=True, order=True)
 class Summand:
     """One block ``label (x) nu(m)`` of rank ``n * m``."""
@@ -42,6 +47,8 @@ class Summand:
     self_dual: bool = True
 
     def __post_init__(self) -> None:
+        if type(self.n) is not int or type(self.m) is not int:
+            raise ValueError(f"n and m must be integers, got n={self.n!r}, m={self.m!r}")
         if self.n < 1:
             raise ValueError(f"block rank must be positive, got n={self.n}")
         if self.m < 1:
@@ -224,7 +231,7 @@ def from_cohomological(parts: Iterable[int] | Sequence[int]) -> ArthurShape:
     parts = tuple(parts)
     if not parts:
         raise ValueError("empty partition")
-    if any(not isinstance(p, int) or p < 1 for p in parts):
+    if any(type(p) is not int or p < 1 for p in parts):
         raise ValueError(f"partition parts must be positive integers, got {parts}")
     return ArthurShape(
         tuple(Summand(f"c{i + 1}", 1, p) for i, p in enumerate(parts))
@@ -250,13 +257,6 @@ def shape_to_json(shape: ArthurShape) -> dict:
     return {"summands": summands}
 
 
-def _json_int(entry: dict, key: str) -> int:
-    value = entry[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"summand field {key!r} must be an integer, got {value!r}")
-    return value
-
-
 def shape_from_json(data: dict | str) -> ArthurShape:
     """Shape from its JSON object; every field must have its exact JSON type."""
     if isinstance(data, str):
@@ -269,7 +269,7 @@ def shape_from_json(data: dict | str) -> ArthurShape:
             raise ValueError(f"summand entry must be an object, got {entry!r}")
         try:
             label = entry["label"]
-            n, m = _json_int(entry, "n"), _json_int(entry, "m")
+            n, m = entry["n"], entry["m"]  # Summand checks that both are ints
         except KeyError as exc:
             raise ValueError(f"malformed summand entry: {entry!r}") from exc
         self_dual = entry.get("self_dual", True)

@@ -47,19 +47,17 @@ def test_group_symbol_normalizes():
 def test_formal_dist_algebra():
     (x,) = shapes_of((2,))
     (y,) = shapes_of((1, 1))
-    a = FormalDist.unit((x,))
-    b = FormalDist.unit((y,))
-    assert (a + b) - a == b
-    assert (a - a).is_zero
-    assert 2 * a == a + a
+    a = FormalDist({(x,): Fraction(1), (x, y): Fraction(1, 2)})
+    assert 2 * a == a * 2 == FormalDist({(x,): 2, (x, y): 1})
     assert 0 * a == FormalDist()
-    assert a.tensor(b).coefficient((x, y)) == 1
-    assert a.tensor(b) == b.tensor(a)  # canonical factor order
+    # canonical factor order: either order of the factors is the same key
+    assert FormalDist({(x, y): 1}) == FormalDist({(y, x): 1})
+    assert FormalDist({(y, x): 1}).coefficient((x, y)) == 1
 
 
 def test_formal_dist_drops_zeros():
     (x,) = shapes_of((2,))
-    d = FormalDist({(x,): Fraction(1)}) + FormalDist({(x,): Fraction(-1)})
+    d = FormalDist([((x,), Fraction(1)), ((x,), Fraction(-1))])
     assert len(d) == 0
     assert d.coefficient((x,)) == 0
 
@@ -146,7 +144,11 @@ def test_product_start_factorizes():
     b = ArthurShape((Summand("b1", 1, 2), Summand("b2", 1, 1)))
     chains = enumerate_chains(assignment=(a, b))
     assert len(chains) == 2 * 2
-    product = chain_expansion(assignment=(a,)).tensor(chain_expansion(assignment=(b,)))
+    product = FormalDist(
+        (key_a + key_b, coeff_a * coeff_b)
+        for key_a, coeff_a in chain_expansion(assignment=(a,)).items()
+        for key_b, coeff_b in chain_expansion(assignment=(b,)).items()
+    )
     assert chain_expansion(assignment=(a, b)) == product
     assert verify_inversion(assignment=(a, b))
 
@@ -154,6 +156,13 @@ def test_product_start_factorizes():
 def test_chains_need_a_shape_or_an_assignment():
     with pytest.raises(ValueError):
         enumerate_chains()
+
+
+def test_a_shape_and_an_assignment_together_are_refused():
+    shape = from_cohomological((2, 1))
+    for call in (enumerate_chains, expand_stable, chain_expansion, verify_inversion):
+        with pytest.raises(ValueError, match="exactly one"):
+            call(shape=shape, assignment=(shape,))
 
 
 def test_chain_guard_trips(monkeypatch):
@@ -296,6 +305,19 @@ def test_planted_sub_sum_fault_fails_the_recursion_check(monkeypatch):
         lambda factors: real(factors) * (2 if len(factors) == 2 else 1),
     )
     assert not verify_inversion(shape=shape)
+
+
+def test_planted_factor_sum_fault_fails_the_product_check(monkeypatch):
+    # the product's own chain sum stays right, so only the comparison with the
+    # product of the per-factor chain sums sees the doubled factors
+    assert verify_inversion(assignment=PRODUCT)
+    real = hyperendoscopy._chain_sum
+    monkeypatch.setattr(
+        hyperendoscopy,
+        "_chain_sum",
+        lambda factors: real(factors) * (2 if len(factors) == 1 else 1),
+    )
+    assert not verify_inversion(assignment=PRODUCT)
 
 
 # every composition with parts <= 3 and r <= 5, in every order of its parts

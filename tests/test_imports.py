@@ -60,23 +60,41 @@ def test_guard_error_is_raised_only_by_the_guards_helper():
     assert guard_error_calls("raise guards.GuardError('x')\n") == [1]
 
 
-def callers(source: str, name: str) -> list[str | None]:
-    """The innermost function around each call of name, by name or as an
-    attribute; None for a call outside every function."""
+def enclosing(source: str, match) -> list[str | None]:
+    """The innermost function around each node that match accepts; None for a
+    node outside every function."""
     found: list[str | None] = []
 
     def visit(node: ast.AST, func: str | None) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             func = node.name
-        elif isinstance(node, ast.Call) and name == getattr(
-            node.func, "id", getattr(node.func, "attr", None)
-        ):
+        elif match(node):
             found.append(func)
         for child in ast.iter_child_nodes(node):
             visit(child, func)
 
     visit(ast.parse(source), None)
     return found
+
+
+def callers(source: str, name: str) -> list[str | None]:
+    """The innermost function around each call of name, by name or as an
+    attribute; None for a call outside every function."""
+    return enclosing(
+        source,
+        lambda node: isinstance(node, ast.Call)
+        and name == getattr(node.func, "id", getattr(node.func, "attr", None)),
+    )
+
+
+def terms_stores(source: str) -> list[str | None]:
+    """The innermost function around each assignment to an attribute _terms."""
+    return enclosing(
+        source,
+        lambda node: isinstance(node, ast.Attribute)
+        and node.attr == "_terms"
+        and isinstance(node.ctx, ast.Store),
+    )
 
 
 def test_only_the_kernel_skips_the_coefficient_check():
@@ -94,6 +112,16 @@ def test_blocks_are_split_only_through_the_mask_helper():
     # every split of a shape's blocks is made from two masks by _split_at
     made = {path.stem: callers(path.read_text(), "make_split") for path in MODULES}
     assert {stem: f for stem, f in made.items() if f} == {"endoscopy": ["_split_at"]}
+
+
+def test_formal_dist_terms_are_set_only_by_its_two_constructors():
+    # __init__ checks and canonicalizes; _of wraps a dict already canonical
+    stores = {path.stem: terms_stores(path.read_text()) for path in MODULES}
+    assert {stem: f for stem, f in stores.items() if f} == {
+        "hyperendoscopy": ["__init__", "_of"]
+    }
+    assert terms_stores("def f(d):\n    d._terms = {}\n    return d._terms\n"
+                        "g()._terms = {}\n") == ["f", None]
 
 
 def test_the_cap_is_set_only_through_the_environment():

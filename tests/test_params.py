@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from endoscopylab.bounds import PacketModel
+from endoscopylab.hyperendoscopy import FormalDist
 from endoscopylab.params import (
     ArthurShape,
     BlockSignVector,
@@ -179,3 +181,22 @@ def test_shape_json_rejects_wrong_types(data):
 def test_shape_json_reads_explicit_self_dual():
     data = {"summands": [{"label": "a", "n": 1, "m": 1, "self_dual": False}]}
     assert shape_from_json(data).summands[0].self_dual is False
+
+
+# each public constructor that takes an exact number, fed one wrong value
+COERCION_SITES = {
+    "Summand.n": lambda v: Summand("c", v, 2),
+    "Summand.m": lambda v: Summand("c", 1, v),
+    "from_cohomological": lambda v: from_cohomological((v, 2)),
+    "PacketModel trace": lambda v: PacketModel(1, ((GroupChar(1, 0), v),), GroupChar(1, 0)),
+    "FormalDist coefficient": lambda v: FormalDist({(from_cohomological((2,)),): v}),
+}
+
+
+@pytest.mark.parametrize("value", [1.5, True, "1"], ids=repr)
+@pytest.mark.parametrize("site", sorted(COERCION_SITES))
+def test_constructors_refuse_silent_coercions(site, value):
+    build = COERCION_SITES[site]
+    build(1)  # the exact value is accepted
+    with pytest.raises(ValueError):
+        build(value)
