@@ -7,9 +7,13 @@ product of Gaussian binomials [a_i + b_i choose a_i] evaluated at t^2, i.e.
 the cohomology of a product of complex Grassmannians shifted by R.
 
 :func:`poincare_poly` works over q = t^2 in plain ``int`` lists: one pass
-over the pairs sums a, b and sum(a_i b_i), skips the one-sided pairs (their
-factor is 1), convolves the cached Gaussian binomials of the mixed pairs, and
-writes the product into every other coefficient from degree R on.  Only the
+over the pairs sums a, b and sum(a_i b_i) and collects the mixed pairs
+(a_i, b_i both positive; a one-sided pair's factor is 1).  The polynomial
+depends on nothing else, so it is memoized under (R, sorted mixed pairs) and
+the members of a packet share one object per key; a hit skips the
+Gaussian-binomial guard, as that function's own cache does.  On a miss the
+cached Gaussian binomials of the mixed pairs are convolved and the product is
+written into every other coefficient from degree R on.  Only the
 result is a :class:`PoincarePoly`, built by the private ``_shifted``: the
 coefficient check (exact ints, a nonzero top entry) runs there on the short
 product q, not on the R + 2 deg(q) coefficients of the result, nearly all of
@@ -344,24 +348,42 @@ def gaussian_binomial(n: int, k: int) -> PoincarePoly:
 def poincare_poly(B: Bipartition) -> PoincarePoly:
     """t^R times the product over pairs of [a_i + b_i choose a_i] at t^2.
 
-    The product is taken over q = t^2 as an int list; a one-sided pair
-    contributes the factor 1 and is skipped.  The coefficient check runs on
-    q, in :meth:`PoincarePoly._shifted`, not on the t^R padding it adds.
+    The polynomial depends only on R and the multiset of mixed pairs (a_i
+    and b_i both positive; a one-sided pair contributes the factor 1), so it
+    is memoized under the key (R, sorted mixed pairs): the members of a
+    packet share one object per key.  Like :func:`gaussian_binomial`'s own
+    cache, a hit returns the stored polynomial without consulting the
+    Gaussian-binomial guard again.
     """
     a = b = cross = 0
-    q = [1]
+    mixed = []
     for x, y in B.pairs:
         a += x
         b += y
         if x and y:
             cross += x * y
-            factor = gaussian_binomial(x + y, x).coeffs
-            out = [0] * (len(q) + len(factor) - 1)
-            for i, c in enumerate(q):
-                for j, d in enumerate(factor, i):
-                    out[j] += c * d
-            q = out
-    return PoincarePoly._shifted(a * b - cross, q)
+            mixed.append((x, y))
+    mixed.sort()
+    return _poincare_of(a * b - cross, tuple(mixed))
+
+
+@lru_cache(maxsize=None)
+def _poincare_of(R: int, mixed: tuple[tuple[int, int], ...]) -> PoincarePoly:
+    """t^R times the product of the mixed pairs' Gaussian binomials at t^2.
+
+    The product is taken over q = t^2 as an int list.  The coefficient check
+    runs on q, in :meth:`PoincarePoly._shifted`, not on the t^R padding it
+    adds.
+    """
+    q = [1]
+    for x, y in mixed:
+        factor = gaussian_binomial(x + y, x).coeffs
+        out = [0] * (len(q) + len(factor) - 1)
+        for i, c in enumerate(q):
+            for j, d in enumerate(factor, i):
+                out[j] += c * d
+        q = out
+    return PoincarePoly._shifted(R, q)
 
 
 def _box_partition_counts(rows: int, cols: int) -> list[int]:

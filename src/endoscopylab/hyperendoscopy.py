@@ -192,7 +192,8 @@ class FormalDist:
     Keys are canonical factor tuples; zero coefficients are never stored.
     The constructor canonicalizes the keys and sums repeated ones; each
     coefficient must be an int or a Fraction, never a bool.  A distribution
-    can be read term by term and scaled by an exact number.
+    can be read term by term and scaled by an exact number, under the same
+    rule.
     """
 
     __slots__ = ("_terms",)
@@ -231,8 +232,8 @@ class FormalDist:
         return len(self._terms)
 
     def __mul__(self, scalar: Fraction | int) -> "FormalDist":
-        if not isinstance(scalar, (Fraction, int)):
-            return NotImplemented
+        if not _is_exact_number(scalar):
+            raise ValueError(f"scalar must be int or Fraction, got {scalar!r}")
         scalar = Fraction(scalar)
         terms = {k: v * scalar for k, v in self._terms.items()} if scalar else {}
         return FormalDist._of(terms)

@@ -47,6 +47,10 @@ class Summand:
     self_dual: bool = True
 
     def __post_init__(self) -> None:
+        if type(self.label) is not str:
+            raise ValueError(f"label must be a string, got {self.label!r}")
+        if type(self.self_dual) is not bool:
+            raise ValueError(f"self_dual must be a boolean, got {self.self_dual!r}")
         if type(self.n) is not int or type(self.m) is not int:
             raise ValueError(f"n and m must be integers, got n={self.n!r}, m={self.m!r}")
         if self.n < 1:
@@ -268,14 +272,9 @@ def shape_from_json(data: dict | str) -> ArthurShape:
         if not isinstance(entry, dict):
             raise ValueError(f"summand entry must be an object, got {entry!r}")
         try:
-            label = entry["label"]
-            n, m = entry["n"], entry["m"]  # Summand checks that both are ints
+            # Summand checks the type of each field
+            label, n, m = entry["label"], entry["n"], entry["m"]
         except KeyError as exc:
             raise ValueError(f"malformed summand entry: {entry!r}") from exc
-        self_dual = entry.get("self_dual", True)
-        if not isinstance(label, str):
-            raise ValueError(f"summand label must be a string, got {label!r}")
-        if not isinstance(self_dual, bool):
-            raise ValueError(f"summand self_dual must be a boolean, got {self_dual!r}")
-        summands.append(Summand(label, n, m, self_dual))
+        summands.append(Summand(label, n, m, entry.get("self_dual", True)))
     return ArthurShape(tuple(summands))

@@ -173,11 +173,16 @@ def test_bipartition_json_accepts_bare_list():
 
 def test_kernel_matches_brute_on_every_packet_member():
     # every member with N <= 8, plus an all-one-sided member (q = [1]) and a
-    # long pair; the result must also equal the fully checked constructor
+    # long pair; the result must also equal the fully checked constructor,
+    # and a second pass over the filled memo must return the same objects
     cases = 0
-    members = chain(packet_members(8), [bp((1, 0), (0, 2), (3, 0)), bp((1000, 1))])
-    for B in members:
-        poly = poincare_poly(B)
+    members = list(
+        chain(packet_members(8), [bp((1, 0), (0, 2), (3, 0)), bp((1000, 1))])
+    )
+    cohomology._poincare_of.cache_clear()
+    cold = [poincare_poly(B) for B in members]
+    for B, poly in zip(members, cold):
+        assert poincare_poly(B) is poly, B
         coeffs = poly.coeffs
         assert type(coeffs) is tuple and {int}.issuperset(map(type, coeffs)), B
         assert coeffs and coeffs[-1], B
@@ -191,11 +196,34 @@ def test_kernel_matches_brute_on_every_packet_member():
     "factor", [(1, 1.0, 1), (1, 1, 0)], ids=["float coefficient", "zero top entry"]
 )
 def test_planted_gaussian_fault_is_refused_by_the_kernel(monkeypatch, factor):
+    # an earlier test may have memoized this bipartition's polynomial
+    cohomology._poincare_of.cache_clear()
     monkeypatch.setattr(
         cohomology, "gaussian_binomial", lambda n, k: SimpleNamespace(coeffs=factor)
     )
     with pytest.raises(ValueError):
         poincare_poly(bp((1, 1), (2, 0)))
+
+
+@pytest.mark.parametrize(
+    "parts,a,size,keys", [((1,) * 16, 7, 11440, 1), ((5, 4, 4, 3, 2, 2), 10, 674, 227)]
+)
+def test_packet_members_share_memoized_polynomials(parts, a, size, keys):
+    # the memo key is (R, sorted mixed pairs): 1^16 has no mixed pair and
+    # one R, so all 11440 members share a single polynomial
+    members = enumerate_bipartitions(a, sum(parts) - a, parts)
+    assert len(members) == size
+    cohomology._poincare_of.cache_clear()
+    polys = {id(poincare_poly(B)) for B in members}
+    info = cohomology._poincare_of.cache_info()
+    assert (info.currsize, info.misses, len(polys)) == (keys, keys, keys)
+
+
+def test_mixed_pair_order_does_not_split_the_memo():
+    poly = poincare_poly(bp((2, 1), (1, 2)))
+    assert poincare_poly(bp((1, 2), (2, 1))) is poly
+    assert poincare_poly(bp((1, 2), (0, 1), (2, 1))) is not poly  # R differs
+    assert poly == brute_poincare(bp((1, 2), (2, 1)))
 
 
 @pytest.mark.parametrize(
@@ -308,6 +336,7 @@ def test_brute_calls_neither_gaussian_nor_kernel(monkeypatch):
 
     monkeypatch.setattr(cohomology, "gaussian_binomial", refuse)
     monkeypatch.setattr(cohomology, "poincare_poly", refuse)
+    monkeypatch.setattr(cohomology, "_poincare_of", refuse)
     assert [brute_poincare(B) for B in members] == expected
 
 

@@ -101,11 +101,17 @@ def test_only_the_kernel_skips_the_coefficient_check():
     # _shifted checks only the product q; the oracle and the binomials it is
     # checked against build through the public constructor and its full check
     shifted = {path.stem: callers(path.read_text(), "_shifted") for path in MODULES}
-    assert {stem: f for stem, f in shifted.items() if f} == {"cohomology": ["poincare_poly"]}
+    assert {stem: f for stem, f in shifted.items() if f} == {"cohomology": ["_poincare_of"]}
     checked = callers((PACKAGE / "cohomology.py").read_text(), "PoincarePoly")
     assert {"brute_poincare", "gaussian_binomial"} <= set(checked)
     assert callers("class P:\n    def f(self):\n        return P._shifted(0, [1])\n"
                    "P._shifted(1, [1])\n", "_shifted") == ["f", None]
+
+
+def test_the_poincare_memo_is_filled_only_by_the_kernel():
+    # the memo key is built in one place: poincare_poly sorts the mixed pairs
+    memo = {path.stem: callers(path.read_text(), "_poincare_of") for path in MODULES}
+    assert {stem: f for stem, f in memo.items() if f} == {"cohomology": ["poincare_poly"]}
 
 
 def test_blocks_are_split_only_through_the_mask_helper():

@@ -183,13 +183,15 @@ def test_shape_json_reads_explicit_self_dual():
     assert shape_from_json(data).summands[0].self_dual is False
 
 
-# each public constructor that takes an exact number, fed one wrong value
+# each public constructor or operator that takes an exact number, fed one
+# wrong value
 COERCION_SITES = {
     "Summand.n": lambda v: Summand("c", v, 2),
     "Summand.m": lambda v: Summand("c", 1, v),
     "from_cohomological": lambda v: from_cohomological((v, 2)),
     "PacketModel trace": lambda v: PacketModel(1, ((GroupChar(1, 0), v),), GroupChar(1, 0)),
     "FormalDist coefficient": lambda v: FormalDist({(from_cohomological((2,)),): v}),
+    "FormalDist scalar": lambda v: v * FormalDist({(from_cohomological((2,)),): 1}),
 }
 
 
@@ -200,3 +202,20 @@ def test_constructors_refuse_silent_coercions(site, value):
     build(1)  # the exact value is accepted
     with pytest.raises(ValueError):
         build(value)
+
+
+# the block fields that hold a str and a bool, each with an exact value and
+# values of other types: a truthy string, or a label that breaks the sort
+FIELD_SITES = {
+    "Summand.label": (lambda v: Summand(v, 1, 2), "a", (5, True, None)),
+    "Summand.self_dual": (lambda v: Summand("a", 1, 2, v), False, ("false", 1, None)),
+}
+
+
+@pytest.mark.parametrize("site", sorted(FIELD_SITES))
+def test_block_fields_refuse_silent_coercions(site):
+    build, exact, wrong = FIELD_SITES[site]
+    build(exact)
+    for value in wrong:
+        with pytest.raises(ValueError):
+            build(value)
