@@ -12,6 +12,7 @@ and limit multiplicity growth into the closed exponent N(N - 2k).
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -154,6 +155,8 @@ def i_disc_model(shape: ArthurShape, packet: PacketModel) -> Fraction:
     With m = chi.mask ^ epsilon.mask the double sum is
     sum_chi t_chi * (-1)^<m, s_psi> * C^(m), where C^ is the Walsh-Hadamard
     transform of the coefficient table, so it costs O(r * 2^r + members).
+    The members are summed as int numerators over the lcm of the trace
+    denominators, and divided once.
     The 2^(r-1)-entry table is counted first and refused above the chain cap.
     """
     group = _guarded_sign_group(shape)
@@ -169,11 +172,16 @@ def i_disc_model(shape: ArthurShape, packet: PacketModel) -> Fraction:
     table = [by_rank[n2] for n2 in minus_rank]
     _walsh_hadamard(table)
     sp = group.from_sign_vector(s_psi(shape))
-    total = Fraction(0)
+    # the traces as int numerators over their common denominator, one
+    # division at the end instead of a Fraction product and sum per member
+    den = math.lcm(*(trace.denominator for _, trace in packet.members))
+    eps = packet.epsilon.mask
+    total = 0
     for chi, trace in packet.members:
-        m = chi.mask ^ packet.epsilon.mask
-        total += trace * (-table[m] if (m & sp).bit_count() % 2 else table[m])
-    return total / (4 << group.rank)
+        m = chi.mask ^ eps
+        term = trace.numerator * (den // trace.denominator) * table[m]
+        total += -term if (m & sp).bit_count() % 2 else term
+    return Fraction(total, den * (4 << group.rank))
 
 
 class DominanceResult(NamedTuple):

@@ -6,21 +6,27 @@ degree R = ab - sum(a_i b_i) and the Poincare polynomial is t^R times the
 product of Gaussian binomials [a_i + b_i choose a_i] evaluated at t^2, i.e.
 the cohomology of a product of complex Grassmannians shifted by R.
 
-:func:`poincare_poly` works over q = t^2 in plain ``int`` lists: one pass
-over the pairs sums a, b and sum(a_i b_i) and collects the mixed pairs
-(a_i, b_i both positive; a one-sided pair's factor is 1).  The polynomial
-depends on nothing else, so it is memoized under (R, sorted mixed pairs) and
-the members of a packet share one object per key; a hit skips the
-Gaussian-binomial guard, as that function's own cache does.  On a miss the
-cached Gaussian binomials of the mixed pairs are convolved and the product is
-written into every other coefficient from degree R on.  Only the
-result is a :class:`PoincarePoly`, built by the private ``_shifted``: the
-coefficient check (exact ints, a nonzero top entry) runs there on the short
-product q, not on the R + 2 deg(q) coefficients of the result, nearly all of
-them t^R zeros.  The oracle :func:`brute_poincare` shares none of that code:
-it counts the partitions in every a_i x b_i box by area (the Schubert cells),
-one-sided boxes included, and multiplies those counts with a loop of its own,
-so the two are independent computations of the same polynomial.  It too
+:func:`poincare_poly` works over q = t^2 in plain ``int`` lists.  The
+polynomial depends only on R and the mixed pairs (a_i, b_i both positive; a
+one-sided pair's factor is 1), so it is memoized under (R, sorted mixed
+pairs) and the members of a packet share one object per key; a hit skips the
+Gaussian-binomial guard, as that function's own cache does.  Each
+:class:`Bipartition` carries that key: the public constructor computes it in
+its one pass over the pairs, and :func:`enumerate_bipartitions` keeps the
+prefix sums of a_i b_i and the mixed pairs as it walks and builds each member
+with its key through the private ``Bipartition._walked``, which skips the
+re-check of pairs the walk took from checked options.  So a call on a member
+is one lookup.  :func:`degree_R`, :func:`brute_poincare` and the decay bounds
+read the pairs, never the key.  On a miss the cached Gaussian binomials of
+the mixed pairs are convolved and the product is written into every other
+coefficient from degree R on.  Only the result is a :class:`PoincarePoly`,
+built by the private ``_shifted``: the coefficient check (exact ints, a
+nonzero top entry) runs there on the short product q, not on the
+R + 2 deg(q) coefficients of the result, nearly all of them t^R zeros.  The
+oracle :func:`brute_poincare` shares none of that code: it counts the
+partitions in every a_i x b_i box by area (the Schubert cells), one-sided
+boxes included, and multiplies those counts with a loop of its own, so the
+two are independent computations of the same polynomial.  It too
 works in int lists and builds one :class:`PoincarePoly`, through the public
 constructor and its full check, since building a polynomial object per pair
 cost more than the counting.
@@ -36,7 +42,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate, chain
 from typing import Iterable, Sequence
@@ -64,9 +70,16 @@ def _exact_ints(values: Iterable) -> bool:
 
 @dataclass(frozen=True)
 class Bipartition:
-    """Ordered pairs (a_i, b_i), none equal to (0, 0)."""
+    """Ordered pairs (a_i, b_i), none equal to (0, 0).
+
+    ``_key`` is the Poincare memo key (R, sorted mixed pairs), a function of
+    the pairs; only ``pairs`` is compared, hashed or printed.
+    """
 
     pairs: tuple[tuple[int, int], ...]
+    _key: tuple[int, tuple[tuple[int, int], ...]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         pairs = self.pairs
@@ -83,11 +96,34 @@ class Bipartition:
             raise ValueError("a bipartition needs at least one pair")
         if not _exact_ints(chain.from_iterable(pairs)):
             raise ValueError(f"pair entries must be integers, got {pairs!r}")
+        a = b = cross = 0
+        mixed = []
         for x, y in pairs:
             if x < 0 or y < 0:
                 raise ValueError(f"negative entry in pair ({x}, {y})")
             if x == 0 and y == 0:
                 raise ValueError("(0, 0) pairs are not allowed")
+            a += x
+            b += y
+            if x and y:
+                cross += x * y
+                mixed.append((x, y))
+        mixed.sort()
+        object.__setattr__(self, "_key", (a * b - cross, tuple(mixed)))
+
+    @classmethod
+    def _walked(
+        cls, pairs: tuple[tuple[int, int], ...], key: tuple
+    ) -> "Bipartition":
+        """A member built by the packet walk from its checked pairs and key.
+
+        The pairs come from the walk's checked options and the key from its
+        running sums, so neither is checked again here.
+        """
+        B = object.__new__(cls)
+        object.__setattr__(B, "pairs", pairs)
+        object.__setattr__(B, "_key", key)
+        return B
 
     @property
     def a(self) -> int:
@@ -204,7 +240,9 @@ def enumerate_bipartitions(a: int, b: int, P: tuple[int, ...]) -> list[Bipartiti
     in decreasing lexicographic order.  The members are counted first; above
     the chain cap the call raises :class:`GuardError` before building any.
     The walk keeps its state in one list of chosen pairs, so no length of P
-    makes it recurse.
+    makes it recurse.  Beside it, the walk keeps what each member's Poincare
+    memo key needs, so it builds the member once, through the private
+    ``Bipartition._walked``, without checking its pairs again.
     """
     if a < 0 or b < 0:
         raise ValueError(f"signature entries must be nonnegative, got ({a}, {b})")
@@ -229,27 +267,45 @@ def enumerate_bipartitions(a: int, b: int, P: tuple[int, ...]) -> list[Bipartiti
     options = [
         {x: (x, n - x) for x in range(max(0, n - b), min(n, a) + 1)} for n in parts
     ]
+    ab, last = a * b, len(parts) - 1
     out: list[Bipartition] = []
     chosen: list[tuple[int, int]] = []  # the pairs of the first positions
     s = 0  # their sum of a_i, inside the window of the last one
+    # beside chosen, for the memo key: the prefix sums of a_i * b_i (cross[i]
+    # over the first i positions) and the mixed pairs among the chosen ones
+    cross = [0]
+    mixed: list[tuple[int, int]] = []
+    i, x = 0, min(parts[0], windows[0][1])
     while True:
-        # fill the open positions, each with the largest a_i its window allows
-        for i in range(len(chosen), len(parts)):
-            x = min(parts[i], windows[i][1] - s)
-            chosen.append(options[i][x])
+        # place a_i = x, then fill the open positions, each with the largest
+        # a_i its window allows
+        while True:
+            pair = options[i][x]
+            chosen.append(pair)
+            y = pair[1]
+            cross.append(cross[-1] + x * y)
+            if x and y:
+                mixed.append(pair)
             s += x
-        out.append(Bipartition(tuple(chosen)))
+            if i == last:
+                break
+            i += 1
+            x = min(parts[i], windows[i][1] - s)
+        key = (ab - cross[-1], tuple(sorted(mixed) if len(mixed) > 1 else mixed))
+        out.append(Bipartition._walked(tuple(chosen), key))
         # back up to the last position whose a_i can still fall by one
-        while chosen:
-            i = len(chosen) - 1
-            x = chosen.pop()[0]
+        while True:
+            x, y = chosen.pop()
+            cross.pop()
+            if x and y:
+                mixed.pop()
             s -= x
             if x and s + x > windows[i][0]:
-                chosen.append(options[i][x - 1])
-                s += x - 1
+                x -= 1
                 break
-        if not chosen:
-            return out
+            if not i:
+                return out
+            i -= 1
 
 
 def _packet_windows(parts: tuple[int, ...], a: int) -> list[tuple[int, int]]:
@@ -351,20 +407,13 @@ def poincare_poly(B: Bipartition) -> PoincarePoly:
     The polynomial depends only on R and the multiset of mixed pairs (a_i
     and b_i both positive; a one-sided pair contributes the factor 1), so it
     is memoized under the key (R, sorted mixed pairs): the members of a
-    packet share one object per key.  Like :func:`gaussian_binomial`'s own
-    cache, a hit returns the stored polynomial without consulting the
-    Gaussian-binomial guard again.
+    packet share one object per key.  The key is ``B._key``, which the
+    public constructor computes in its pass over the pairs and the packet
+    walk keeps up to date as it goes, so a call is one lookup.  Like
+    :func:`gaussian_binomial`'s own cache, a hit returns the stored
+    polynomial without consulting the Gaussian-binomial guard again.
     """
-    a = b = cross = 0
-    mixed = []
-    for x, y in B.pairs:
-        a += x
-        b += y
-        if x and y:
-            cross += x * y
-            mixed.append((x, y))
-    mixed.sort()
-    return _poincare_of(a * b - cross, tuple(mixed))
+    return _poincare_of(*B._key)
 
 
 @lru_cache(maxsize=None)

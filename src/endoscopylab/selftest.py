@@ -118,11 +118,19 @@ def _random_bipartition(rng: random.Random, max_total: int) -> Bipartition:
 
 
 def check_poincare_oracle(seed: int = DEFAULT_SEED) -> CheckResult:
-    """Criterion 1: the q = t^2 kernel == brute cell count, exhaustive + random."""
+    """Criterion 1: the q = t^2 kernel == brute cell count, exhaustive + random.
+
+    Every member the packet walk builds must also equal the same pairs built
+    through the public constructor and carry the same memo key, since the
+    walk builds it without the constructor's checks.
+    """
     cases = 0
     rng = random.Random(seed)
     randoms = [_random_bipartition(rng, 8) for _ in range(50)]
     for B in chain(packet_members(6), randoms):
+        checked = Bipartition(B.pairs)
+        if checked != B or checked._key != B._key:
+            return CheckResult("poincare_oracle", False, f"walk member {B} differs")
         if poincare_poly(B) != brute_poincare(B):
             return CheckResult("poincare_oracle", False, f"mismatch at {B}")
         cases += 1

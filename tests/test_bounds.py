@@ -279,3 +279,24 @@ def test_i_disc_model_evaluates_each_minus_rank_once(monkeypatch):
     calls.clear()
     assert i_disc_model(shape, packet) == expected
     assert sorted(calls) == list(range(8))
+
+
+@pytest.mark.parametrize("parts", [(2, 1, 1, 1), (3, 2, 1, 1, 1), (4, 3, 2, 1)])
+def test_i_disc_model_sums_mixed_denominators_exactly(parts):
+    # the traces are summed as int numerators over the lcm of their
+    # denominators (here 21), then divided once
+    shape = from_cohomological(parts)
+    group = centralizer_group(shape)
+    chars = group.characters()
+    traces = (Fraction(1, 3), Fraction(2, 7), 5, 0)
+    coefficients = brute_coefficients(shape)
+    for eps in chars:
+        for start in range(len(chars)):
+            picked = [chars[(start + j) % len(chars)] for j in range(len(traces))]
+            members = tuple(zip(picked, traces))
+            packet = PacketModel(group.rank, members, eps)
+            value = i_disc_model(shape, packet)
+            assert type(value) is Fraction
+            assert value == brute_i_disc(shape, packet, coefficients), (eps, start)
+    empty = PacketModel(group.rank, (), chars[0])
+    assert i_disc_model(shape, empty) == 0

@@ -355,3 +355,69 @@ def test_planted_cell_count_fault_fails_the_oracle(monkeypatch):
     result = check_poincare_oracle()
     assert not result.passed
     assert result.detail.startswith("mismatch at")
+
+
+# the eight (parts, a) packets of the benchmark's library deck
+DECK_PACKETS = (
+    ((1,) * 16, 7),
+    ((1,) * 13, 4),
+    ((1,) * 10, 3),
+    ((1,) * 7, 2),
+    ((3, 2, 2, 1, 1, 1, 1, 1), 6),
+    ((4, 3, 3, 2, 2, 1, 1), 8),
+    ((5, 4, 4, 3, 2, 2), 10),
+    ((3, 3, 2, 2, 2), 5),
+)
+
+
+def assert_same_as_checked(members):
+    for B in members:
+        checked = Bipartition(B.pairs)
+        assert B.pairs == checked.pairs and B == checked, B
+        assert hash(B) == hash(checked) and repr(B) == repr(checked), B
+        assert B._key == checked._key, B
+
+
+def test_walk_members_equal_the_checked_constructor():
+    # the walk skips the constructor's checks and keeps the memo key as it
+    # goes; every member must still be the one the constructor builds
+    members = list(packet_members(8))
+    assert len(members) == 15759
+    assert_same_as_checked(members)
+
+
+@pytest.mark.parametrize("parts,a", DECK_PACKETS)
+def test_deck_packet_members_equal_the_checked_constructor(parts, a):
+    b = sum(parts) - a
+    for x, y in ((a, b), (b, a)):
+        assert_same_as_checked(enumerate_bipartitions(x, y, parts))
+
+
+def test_constructor_computes_the_memo_key_without_printing_it():
+    B = bp((2, 1), (0, 3), (1, 2), (1, 0))
+    assert B._key == (degree_R(B), ((1, 2), (2, 1)))
+    assert repr(B) == "Bipartition(pairs=((2, 1), (0, 3), (1, 2), (1, 0)))"
+    assert bp((0, 1), (1, 0))._key == (1, ())
+
+
+def test_planted_wrong_key_fails_only_the_kernel(monkeypatch):
+    # a member built with a wrong key: the kernel reads the key, so it is off,
+    # while degree_R and the oracle read the pairs and stay right
+    pairs = ((2, 1), (1, 1), (0, 2))
+    right = bp(*pairs)
+    R, mixed = right._key
+    wrong = Bipartition._walked(pairs, (R, ((1, 1),)))
+    assert wrong == right
+    assert poincare_poly(wrong) != brute_poincare(wrong)
+    assert poincare_poly(right) == brute_poincare(wrong) == brute_poincare(right)
+    assert degree_R(wrong) == degree_R(right) == R
+    # the same fault in the walk fails the selftest's member check
+    honest = Bipartition._walked.__func__
+
+    def off_by_one(cls, pairs, key):
+        return honest(cls, pairs, (key[0] + 1, key[1]))
+
+    monkeypatch.setattr(Bipartition, "_walked", classmethod(off_by_one))
+    result = check_poincare_oracle()
+    assert not result.passed
+    assert result.detail.startswith("walk member")

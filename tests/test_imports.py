@@ -114,6 +114,26 @@ def test_the_poincare_memo_is_filled_only_by_the_kernel():
     assert {stem: f for stem, f in memo.items() if f} == {"cohomology": ["poincare_poly"]}
 
 
+def test_only_the_packet_walk_skips_the_bipartition_check():
+    # _walked takes pairs from the walk's checked options and the memo key
+    # from its running sums; every other bipartition goes through the
+    # constructor's check
+    walked = {path.stem: callers(path.read_text(), "_walked") for path in MODULES}
+    assert {stem: f for stem, f in walked.items() if f} == {
+        "cohomology": ["enumerate_bipartitions"]
+    }
+    keys = {
+        path.stem: enclosing(
+            path.read_text(),
+            lambda node: isinstance(node, ast.Attribute) and node.attr == "_key",
+        )
+        for path in MODULES
+    }
+    assert {stem: f for stem, f in keys.items() if f} == {
+        "cohomology": ["poincare_poly"], "selftest": ["check_poincare_oracle"] * 2
+    }
+
+
 def test_blocks_are_split_only_through_the_mask_helper():
     # every split of a shape's blocks is made from two masks by _split_at
     made = {path.stem: callers(path.read_text(), "make_split") for path in MODULES}
