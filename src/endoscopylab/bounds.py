@@ -32,6 +32,7 @@ from .params import (
     ArthurShape,
     BlockSignVector,
     GroupChar,
+    TwoGroup,
     _is_exact_number,
     centralizer_group,
     from_cohomological,
@@ -60,36 +61,44 @@ class PacketModel:
     character epsilon, all on a sign group of the given rank."""
 
     rank: int
-    members: tuple[tuple[GroupChar, Fraction], ...]
+    members: tuple[tuple[GroupChar, Fraction | int], ...]
     epsilon: GroupChar
 
     def __post_init__(self) -> None:
         if self.epsilon.rank != self.rank:
             raise ValueError("epsilon character has mismatched group rank")
-        members = []
-        for chi, trace in self.members:
+        members = tuple(self.members)
+        for chi, trace in members:
             if not _is_exact_number(trace):
                 raise ValueError(f"traces must be int or Fraction, got {trace!r}")
             if chi.rank != self.rank:
                 raise ValueError("member character has mismatched group rank")
             if trace < 0:
                 raise ValueError(f"negative trace {trace} in packet")
-            members.append((chi, Fraction(trace)))
-        object.__setattr__(self, "members", tuple(members))
+        object.__setattr__(self, "members", members)
 
     @property
     def trace_total(self) -> Fraction:
-        return sum((t for _, t in self.members), Fraction(0))
+        """The sum of the traces, divided once over their common denominator."""
+        numerators, den = _over_common_denominator(self.members)
+        return Fraction(sum(numerators), den)
 
 
-def random_packet(rng: random.Random, chars: list[GroupChar]) -> PacketModel:
-    """A random subset of the characters with random traces and a random epsilon."""
-    size = rng.randint(1, len(chars))
+def _over_common_denominator(members) -> tuple[list[int], int]:
+    """The members' traces as int numerators over the lcm of their denominators."""
+    den = math.lcm(*(t.denominator for _, t in members))
+    return [t.numerator * (den // t.denominator) for _, t in members], den
+
+
+def random_packet(rng: random.Random, group: TwoGroup) -> PacketModel:
+    """A random set of the group's characters with random traces and a random
+    epsilon, drawn as masks from ``range(group.order)``, not from a list."""
+    masks = range(group.order)
     members = tuple(
-        (chi, Fraction(rng.randint(0, 9), rng.randint(1, 9)))
-        for chi in rng.sample(chars, size)
+        (GroupChar(group.rank, mask), Fraction(rng.randint(0, 9), rng.randint(1, 9)))
+        for mask in rng.sample(masks, rng.randint(1, group.order))
     )
-    return PacketModel(chars[0].rank, members, rng.choice(chars))
+    return PacketModel(group.rank, members, GroupChar(group.rank, rng.choice(masks)))
 
 
 def _numerator(r: int, N: int, n2: int) -> int:
@@ -172,14 +181,12 @@ def i_disc_model(shape: ArthurShape, packet: PacketModel) -> Fraction:
     table = [by_rank[n2] for n2 in minus_rank]
     _walsh_hadamard(table)
     sp = group.from_sign_vector(s_psi(shape))
-    # the traces as int numerators over their common denominator, one
-    # division at the end instead of a Fraction product and sum per member
-    den = math.lcm(*(trace.denominator for _, trace in packet.members))
+    numerators, den = _over_common_denominator(packet.members)
     eps = packet.epsilon.mask
     total = 0
-    for chi, trace in packet.members:
+    for (chi, _), numerator in zip(packet.members, numerators):
         m = chi.mask ^ eps
-        term = trace.numerator * (den // trace.denominator) * table[m]
+        term = numerator * table[m]
         total += -term if (m & sp).bit_count() % 2 else term
     return Fraction(total, den * (4 << group.rank))
 

@@ -431,13 +431,13 @@ def _cmd_dominance(ns: argparse.Namespace) -> int:
     if ns.trials < 1:
         raise ValueError(f"--trials must be positive, got {ns.trials}")
     shape = _shape_arg(ns.shape)
-    # the random packets draw from all 2^(r-1) characters, so refuse before listing them
-    chars = _guarded_sign_group(shape).characters()
+    # refuse a big sign group before random_packet draws up to 2^(r-1) members from it
+    group = _guarded_sign_group(shape)
     rng = random.Random(ns.seed)
     violations = 0
     min_margin: Fraction | None = None
     for _ in range(ns.trials):
-        result = dominance_check(shape, random_packet(rng, chars))
+        result = dominance_check(shape, random_packet(rng, group))
         margin = result.c_psi * result.s_dominant - result.i_value
         if min_margin is None or margin < min_margin:
             min_margin = margin

@@ -12,13 +12,13 @@ one-sided pair's factor is 1), so it is memoized under (R, sorted mixed
 pairs) and the members of a packet share one object per key; a hit skips the
 Gaussian-binomial guard, as that function's own cache does.  Each
 :class:`Bipartition` carries that key: the public constructor computes it in
-its one pass over the pairs, and :func:`enumerate_bipartitions` keeps the
-prefix sums of a_i b_i and the mixed pairs as it walks and builds each member
-with its key through the private ``Bipartition._walked``, which skips the
-re-check of pairs the walk took from checked options.  So a call on a member
-is one lookup.  :func:`degree_R`, :func:`brute_poincare` and the decay bounds
-read the pairs, never the key.  On a miss the cached Gaussian binomials of
-the mixed pairs are convolved and the product is written into every other
+its one pass over the pairs, and :func:`enumerate_bipartitions` keeps R and
+the mixed pairs as it walks and builds each member with its key through the
+private ``Bipartition._walked``, which skips the re-check of pairs the walk
+took from checked options.  So a call on a member is one lookup.
+:func:`degree_R`, :func:`brute_poincare` and the decay bounds read the
+pairs, never the key.  On a miss the cached Gaussian binomials of the mixed
+pairs are convolved and the product is written into every other
 coefficient from degree R on.  Only the result is a :class:`PoincarePoly`,
 built by the private ``_shifted``: the coefficient check (exact ints, a
 nonzero top entry) runs there on the short product q, not on the
@@ -82,16 +82,8 @@ class Bipartition:
     )
 
     def __post_init__(self) -> None:
-        pairs = self.pairs
-        # a tuple of 2-tuples is kept, so the members of a packet share their
-        # pair objects; anything else is rebuilt, which rejects non-pairs
-        if not (
-            type(pairs) is tuple
-            and {tuple}.issuperset(map(type, pairs))
-            and {2}.issuperset(map(len, pairs))
-        ):
-            pairs = tuple((x, y) for x, y in pairs)
-            object.__setattr__(self, "pairs", pairs)
+        pairs = tuple((x, y) for x, y in self.pairs)
+        object.__setattr__(self, "pairs", pairs)
         if not pairs:
             raise ValueError("a bipartition needs at least one pair")
         if not _exact_ints(chain.from_iterable(pairs)):
@@ -240,9 +232,9 @@ def enumerate_bipartitions(a: int, b: int, P: tuple[int, ...]) -> list[Bipartiti
     in decreasing lexicographic order.  The members are counted first; above
     the chain cap the call raises :class:`GuardError` before building any.
     The walk keeps its state in one list of chosen pairs, so no length of P
-    makes it recurse.  Beside it, the walk keeps what each member's Poincare
-    memo key needs, so it builds the member once, through the private
-    ``Bipartition._walked``, without checking its pairs again.
+    makes it recurse.  Beside it, the walk keeps the R and mixed pairs of
+    the Poincare memo key, so it builds each member once, through the
+    private ``Bipartition._walked``, without checking its pairs again.
     """
     if a < 0 or b < 0:
         raise ValueError(f"signature entries must be nonnegative, got ({a}, {b})")
@@ -271,9 +263,9 @@ def enumerate_bipartitions(a: int, b: int, P: tuple[int, ...]) -> list[Bipartiti
     out: list[Bipartition] = []
     chosen: list[tuple[int, int]] = []  # the pairs of the first positions
     s = 0  # their sum of a_i, inside the window of the last one
-    # beside chosen, for the memo key: the prefix sums of a_i * b_i (cross[i]
-    # over the first i positions) and the mixed pairs among the chosen ones
-    cross = [0]
+    # beside chosen, for the memo key: the mixed pairs among the chosen ones
+    # and R, ab minus their a_i * b_i (zero for a one-sided pair)
+    R = ab
     mixed: list[tuple[int, int]] = []
     i, x = 0, min(parts[0], windows[0][1])
     while True:
@@ -283,22 +275,22 @@ def enumerate_bipartitions(a: int, b: int, P: tuple[int, ...]) -> list[Bipartiti
             pair = options[i][x]
             chosen.append(pair)
             y = pair[1]
-            cross.append(cross[-1] + x * y)
             if x and y:
                 mixed.append(pair)
+                R -= x * y
             s += x
             if i == last:
                 break
             i += 1
             x = min(parts[i], windows[i][1] - s)
-        key = (ab - cross[-1], tuple(sorted(mixed) if len(mixed) > 1 else mixed))
+        key = (R, tuple(sorted(mixed) if len(mixed) > 1 else mixed))
         out.append(Bipartition._walked(tuple(chosen), key))
         # back up to the last position whose a_i can still fall by one
         while True:
             x, y = chosen.pop()
-            cross.pop()
             if x and y:
                 mixed.pop()
+                R += x * y
             s -= x
             if x and s + x > windows[i][0]:
                 x -= 1

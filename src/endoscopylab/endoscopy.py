@@ -266,9 +266,12 @@ class InnerFormSpec:
     finite_flips: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "signatures", tuple((int(p), int(q)) for p, q in self.signatures)
-        )
+        signatures = tuple((p, q) for p, q in self.signatures)
+        if any(type(x) is not int for pair in signatures for x in pair):
+            raise ValueError(f"signature entries must be integers, got {signatures!r}")
+        if isinstance(self.finite_flips, str):
+            raise ValueError(f"finite_flips must name places, got {self.finite_flips!r}")
+        object.__setattr__(self, "signatures", signatures)
         object.__setattr__(self, "finite_flips", frozenset(self.finite_flips))
 
 

@@ -43,9 +43,9 @@ chains term by term as ints, checks the recursion with that sum and compares
 it with the kernel term by term.  It stays independent because it never
 groups trees: it visits every chain and weighs it by the product of its own
 steps' iota values, so a wrong tree weight or a wrong part in the kernel
-cannot hide in both.  A dict that lives for one call keeps each distinct
-split's iota, and each term becomes a canonical factor tuple and a Fraction
-once, after its chains are summed.
+cannot hide in both.  Each split's weight is kept as the int -4 * iota, so
+the chains of a term, which all make the same number of steps, sum as ints
+over one power of 4.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import comb, lcm, prod
+from math import comb, prod
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -406,13 +406,14 @@ def _chain_sum(factors: tuple[ArthurShape, ...]) -> FormalDist:
     one :func:`_plans` tree per factor, without building its objects: block
     p of a factor is bit offset + p of a mask over all the factors' blocks,
     a leaf of a tree is one terminal part as such a mask, and a node is one
-    step, worth -iota of :func:`make_split` on its two sides.  Each chain's
-    weight is the product over its own nodes as an int numerator and
-    denominator, and nothing of the kernel's subset recursion is used.  The
-    chains stream: within one call, a dict keyed by int holds each distinct
-    split's weight, and a dict keyed by the sorted part masks sums each
-    term's weights over the lcm of their denominators.  Canonical factor
-    tuples and Fractions are made once per term, at the end.
+    step, worth -iota of :func:`make_split` on its two sides.  A chain
+    ending in k parts makes k - len(factors) steps, so its weight, the
+    product of its own steps' ints -4 * iota, is over 4^(k - len(factors));
+    an iota that is not a multiple of 1/4 raises RuntimeError.  Nothing of
+    the kernel's subset recursion is used.  The chains stream: within one
+    call, a dict keyed by int holds each distinct split's weight, and a dict
+    keyed by the sorted part masks sums each term's weights.  Canonical
+    factor tuples and Fractions are made once per term, at the end.
     """
     _check_chain_count(factors)
     walks = []  # per factor: shape, block count, bit offset, split weights
@@ -420,10 +421,10 @@ def _chain_sum(factors: tuple[ArthurShape, ...]) -> FormalDist:
     for f in factors:
         walks.append((f, f.r, start, {}))
         start += f.r
-    sums: dict[tuple[int, ...], list[int]] = {}  # sorted part masks -> [num, den]
+    sums: dict[tuple[int, ...], int] = {}  # sorted part masks -> numerator
     for chosen in product(*(_plans(f.r) for f in factors)):
         parts: list[int] = []
-        num = den = 1
+        num = 1
         for plan, (shape, r, offset, weights) in zip(chosen, walks):
             nodes = [plan]
             while nodes:
@@ -436,23 +437,18 @@ def _chain_sum(factors: tuple[ArthurShape, ...]) -> FormalDist:
                 w = weights.get(key)
                 if w is None:
                     value = iota(_split_at(shape, T, Tc)[1].datum)
-                    weights[key] = w = (-value.numerator, value.denominator)
-                num *= w[0]
-                den *= w[1]
+                    if (4 * value).denominator != 1:
+                        raise RuntimeError(f"iota {value} is not a multiple of 1/4")
+                    weights[key] = w = int(-4 * value)
+                num *= w
                 nodes += (plan_t, plan_c)
         parts.sort()
         term = tuple(parts)
-        acc = sums.get(term)
-        if acc is None:
-            sums[term] = [num, den]
-        else:
-            common = lcm(acc[1], den)
-            acc[0] = acc[0] * (common // acc[1]) + num * (common // den)
-            acc[1] = common
+        sums[term] = sums.get(term, 0) + num
     blocks = [b for f in factors for b in f.summands]
     canon: dict[int, tuple[tuple, ArthurShape]] = {}
     terms: dict[FactorKey, Fraction] = {}
-    for term, (num, den) in sums.items():
+    for term, num in sums.items():
         if not num:
             continue
         shapes = []
@@ -462,7 +458,8 @@ def _chain_sum(factors: tuple[ArthurShape, ...]) -> FormalDist:
                 canon[mask] = known = _canonical_part(blocks, mask)
             shapes.append(known)
         shapes.sort(key=itemgetter(0))
-        terms[tuple(part for _, part in shapes)] = Fraction(num, den)
+        steps = len(term) - len(factors)
+        terms[tuple(part for _, part in shapes)] = Fraction(num, 4**steps)
     return FormalDist._of(terms)
 
 

@@ -254,7 +254,7 @@ def check_dominance(seed: int = DEFAULT_SEED) -> CheckResult:
     for _ in range(1000):
         r = rng.randint(1, 5)
         shape = rng.choice(shapes_by_r[r])
-        packet = random_packet(rng, centralizer_group(shape).characters())
+        packet = random_packet(rng, centralizer_group(shape))
         result = dominance_check(shape, packet)
         if not result.holds:
             return CheckResult("dominance", False, f"random violation for {shape}")

@@ -13,6 +13,7 @@ from endoscopylab.bounds import (
     derive_exponent,
     dominance_check,
     i_disc_model,
+    random_packet,
     savin_exponent,
     stable_coefficient,
 )
@@ -24,6 +25,7 @@ from endoscopylab.params import (
     BlockSignVector,
     GroupChar,
     Summand,
+    TwoGroup,
     centralizer_group,
     from_cohomological,
     s_psi,
@@ -295,8 +297,32 @@ def test_i_disc_model_sums_mixed_denominators_exactly(parts):
             picked = [chars[(start + j) % len(chars)] for j in range(len(traces))]
             members = tuple(zip(picked, traces))
             packet = PacketModel(group.rank, members, eps)
+            # the traces are kept as given, the int ones included
+            assert [type(t) for _, t in packet.members] == [Fraction, Fraction, int, int]
+            total = packet.trace_total
+            assert type(total) is Fraction
+            assert total == sum((t for _, t in members), Fraction(0))
             value = i_disc_model(shape, packet)
             assert type(value) is Fraction
             assert value == brute_i_disc(shape, packet, coefficients), (eps, start)
     empty = PacketModel(group.rank, (), chars[0])
     assert i_disc_model(shape, empty) == 0
+
+
+@pytest.mark.parametrize("rank", range(10))
+def test_random_packet_draws_what_the_character_list_drew(rank):
+    # random_packet draws masks from range(group.order); sample and choice
+    # pick by index, so the packets are those drawn from the character list
+    group = TwoGroup(rank)
+    chars = group.characters()
+    for seed in range(200):
+        rng = random.Random(seed)
+        size = rng.randint(1, len(chars))
+        members = tuple(
+            (chi, Fraction(rng.randint(0, 9), rng.randint(1, 9)))
+            for chi in rng.sample(chars, size)
+        )
+        listed = PacketModel(rank, members, rng.choice(chars))
+        drawn = random.Random(seed)
+        assert random_packet(drawn, group) == listed, seed
+        assert drawn.random() == rng.random(), seed

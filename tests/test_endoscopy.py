@@ -140,6 +140,21 @@ def test_inner_form_signature_must_sum():
         check_inner_form(InnerFormSpec(((2, 1),)), 4)
 
 
+@pytest.mark.parametrize(
+    "signatures, flips",
+    [
+        pytest.param(((2.9, 1.2),), frozenset(), id="float entries"),
+        pytest.param(((True, 3),), frozenset(), id="bool entry"),
+        pytest.param(((2, 1.0),), frozenset(), id="integral float"),
+        pytest.param((("2", 1),), frozenset(), id="str entry"),
+        pytest.param(((2, 2),), "w1", id="bare str flips"),
+    ],
+)
+def test_inner_form_spec_refuses_what_it_would_coerce(signatures, flips):
+    with pytest.raises(ValueError):
+        InnerFormSpec(signatures, flips)
+
+
 even_specs = st.integers(1, 5).flatmap(
     lambda h: st.tuples(
         st.lists(

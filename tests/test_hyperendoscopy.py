@@ -6,7 +6,7 @@ from itertools import combinations_with_replacement, product
 import pytest
 
 from endoscopylab import hyperendoscopy
-from endoscopylab.endoscopy import _subset_ranks, iota
+from endoscopylab.endoscopy import EndoscopicDatum, _subset_ranks, iota
 from endoscopylab.guards import GuardError
 from endoscopylab.hyperendoscopy import (
     FormalDist,
@@ -292,6 +292,19 @@ def test_planted_iota_fault_fails_verify_inversion(monkeypatch):
         hyperendoscopy, "iota", lambda datum: swapped.get(iota(datum), iota(datum))
     )
     assert not verify_inversion(shape=shape)
+
+
+def test_planted_iota_off_the_quarter_grid_makes_the_chain_sum_raise(monkeypatch):
+    # every chain of a term has the same step count, so the oracle sums each
+    # term over one power of 4 and refuses a split weight -4 * iota that is
+    # not an int rather than round it
+    shape = from_cohomological((2, 1, 1))
+    tie = EndoscopicDatum(2, 2)
+    monkeypatch.setattr(
+        hyperendoscopy, "iota", lambda datum: Fraction(1, 3) if datum == tie else iota(datum)
+    )
+    with pytest.raises(RuntimeError, match="1/3"):
+        _chain_sum((shape,))
 
 
 def test_planted_sub_sum_fault_fails_the_recursion_check(monkeypatch):

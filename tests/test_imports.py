@@ -134,6 +134,14 @@ def test_only_the_packet_walk_skips_the_bipartition_check():
     }
 
 
+def test_only_the_selftest_lists_every_character():
+    # the dominance trials draw characters as masks, so nothing but the
+    # selftest's exhaustive packets builds the list of all 2^(r-1) of them
+    listed = {path.stem: callers(path.read_text(), "characters") for path in MODULES}
+    assert {stem for stem, f in listed.items() if f} <= {"selftest"}
+    assert callers("def f(g):\n    return g.characters()\n", "characters") == ["f"]
+
+
 def test_blocks_are_split_only_through_the_mask_helper():
     # every split of a shape's blocks is made from two masks by _split_at
     made = {path.stem: callers(path.read_text(), "make_split") for path in MODULES}
