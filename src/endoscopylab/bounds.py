@@ -101,7 +101,7 @@ def random_packet(rng: random.Random, group: TwoGroup) -> PacketModel:
     return PacketModel(group.rank, members, GroupChar(group.rank, rng.choice(masks)))
 
 
-def _numerator(r: int, N: int, n2: int) -> int:
+def _numerator(N: int, n2: int) -> int:
     """C(psi, s) * 4 * 2^(r-1) for an element whose minus blocks have rank n2.
 
     The identity (n2 = 0) has the improper datum and the trivial split, whose
@@ -125,25 +125,29 @@ def stable_coefficient(shape: ArthurShape, s: BlockSignVector) -> Fraction:
     if len(s) != shape.r:
         raise ValueError(f"sign vector {s} does not belong to the group of {shape}")
     n2 = sum(shape.summands[i].block_dim for i in s.minus_indices)
-    return Fraction(_numerator(shape.r, shape.N, n2), 4 << group.rank)
+    return Fraction(_numerator(shape.N, n2), 4 << group.rank)
 
 
 def coefficient_sum(shape: ArthurShape) -> Fraction:
-    """sum over the sign group of C(psi, s), in O(r * N).
+    """sum over the sign group of C(psi, s), one term per reachable minus rank.
 
     The minus blocks of an element are a subset of blocks 1..r-1 and its
-    coefficient depends only on their total rank, so a subset-sum count of
-    those blocks by rank replaces the walk over all 2^(r-1) elements.
+    coefficient depends only on their total rank, so a count of those
+    subsets by rank replaces the walk over all 2^(r-1) elements.  The count
+    holds at most min(2^(r-1), N - dim_0 + 1) ranks, which is refused above
+    the chain cap first; each block then costs one pass over the ranks.
     """
     group = centralizer_group(shape)
     dims = [s.block_dim for s in shape.summands]
-    count = [1] + [0] * (shape.N - dims[0])  # count[n2]: subsets of rank n2
-    top = 0
+    refuse_above(
+        min(group.order, shape.N - dims[0] + 1),
+        "the coefficient sum would count up to {count} minus ranks, above the cap {cap}",
+    )
+    count = {0: 1}  # count[n2]: subsets of blocks 1..r-1 of rank n2
     for d in dims[1:]:
-        top += d
-        for n2 in range(top, d - 1, -1):
-            count[n2] += count[n2 - d]
-    total = sum(c * _numerator(shape.r, shape.N, n2) for n2, c in enumerate(count) if c)
+        for n2, c in list(count.items()):
+            count[n2 + d] = count.get(n2 + d, 0) + c
+    total = sum(c * _numerator(shape.N, n2) for n2, c in count.items())
     return Fraction(total, 4 << group.rank)
 
 
@@ -176,8 +180,7 @@ def i_disc_model(shape: ArthurShape, packet: PacketModel) -> Fraction:
     # bit i of an element toggles block i + 1
     minus_rank = _subset_ranks([s.block_dim for s in shape.summands[1:]])
     # one coefficient per distinct minus rank (at most N + 1), not per entry
-    r, N = shape.r, shape.N
-    by_rank = {n2: _numerator(r, N, n2) for n2 in set(minus_rank)}
+    by_rank = {n2: _numerator(shape.N, n2) for n2 in set(minus_rank)}
     table = [by_rank[n2] for n2 in minus_rank]
     _walsh_hadamard(table)
     sp = group.from_sign_vector(s_psi(shape))

@@ -17,14 +17,7 @@ from typing import TYPE_CHECKING, Sequence
 
 # Library modules are imported inside the commands, so a process loads only
 # what its command uses.
-from .guards import (
-    DEFAULT_BRUTE_GUARD,
-    DEFAULT_CHAIN_GUARD,
-    DEFAULT_SEED,
-    GuardError,
-    guard_limit,
-    refuse_above,
-)
+from .guards import DEFAULT_CHAIN_GUARD, DEFAULT_SEED, GuardError, guard_limit
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -263,28 +256,11 @@ def _member_json(B: Bipartition, R: int, poly: PoincarePoly) -> dict:
     }
 
 
-def _refuse_long_polynomials(a: int, b: int) -> None:
-    """Refuse when a Poincare polynomial on U(a, b) would be too long to build.
-
-    Every such polynomial has degree ab + sum(a_i * b_i) >= ab, so it holds at
-    least ab + 1 coefficients; ab is held to the brute-force cap.
-    """
-    refuse_above(
-        a * b,
-        "a Poincare polynomial on U({a},{b}) would have degree >= {count}, "
-        "above the cap {cap}",
-        DEFAULT_BRUTE_GUARD,
-        a=a,
-        b=b,
-    )
-
-
 def _cmd_packet(ns: argparse.Namespace) -> int:
     from .cohomology import degree_R, enumerate_bipartitions, poincare_poly
 
     parts = _parse_partition(ns.P)
     members = enumerate_bipartitions(ns.a, ns.b, parts)
-    _refuse_long_polynomials(ns.a, ns.b)
     lines = [
         f"packet of P={list(parts)} on U({ns.a},{ns.b}): {len(members)} members"
     ]
@@ -313,7 +289,6 @@ def _cmd_poincare(ns: argparse.Namespace) -> int:
     from .cohomology import degree_R, poincare_poly
 
     B = _bipartition_arg(ns.bipartition)
-    _refuse_long_polynomials(B.a, B.b)
     R, poly = degree_R(B), poincare_poly(B)
     palindromic = poly.is_palindromic()
     payload = {

@@ -10,26 +10,25 @@ the cohomology of a product of complex Grassmannians shifted by R.
 polynomial depends only on R and the mixed pairs (a_i, b_i both positive; a
 one-sided pair's factor is 1), so it is memoized under (R, sorted mixed
 pairs) and the members of a packet share one object per key; a hit skips the
-Gaussian-binomial guard, as that function's own cache does.  Each
+guards, as the Gaussian binomials' own cache does.  Each
 :class:`Bipartition` carries that key: the public constructor computes it in
 its one pass over the pairs, and :func:`enumerate_bipartitions` keeps R and
 the mixed pairs as it walks and builds each member with its key through the
 private ``Bipartition._walked``, which skips the re-check of pairs the walk
 took from checked options.  So a call on a member is one lookup.
 :func:`degree_R`, :func:`brute_poincare` and the decay bounds read the
-pairs, never the key.  On a miss the cached Gaussian binomials of the mixed
-pairs are convolved and the product is written into every other
-coefficient from degree R on.  Only the result is a :class:`PoincarePoly`,
-built by the private ``_shifted``: the coefficient check (exact ints, a
-nonzero top entry) runs there on the short product q, not on the
-R + 2 deg(q) coefficients of the result, nearly all of them t^R zeros.  The
-oracle :func:`brute_poincare` shares none of that code: it counts the
-partitions in every a_i x b_i box by area (the Schubert cells), one-sided
-boxes included, and multiplies those counts with a loop of its own, so the
-two are independent computations of the same polynomial.  It too
-works in int lists and builds one :class:`PoincarePoly`, through the public
-constructor and its full check, since building a polynomial object per pair
-cost more than the counting.
+pairs, never the key.  On a miss the degree is held to the brute-force cap
+first: a polynomial on U(a, b) has degree ab + sum(a_i b_i) >= ab, so ab is
+refused above the cap before any list is built.  Then the cached Gaussian
+binomials of the mixed pairs are convolved, the product is written into
+every other coefficient from degree R on, and the list goes through the
+:class:`PoincarePoly` constructor and its check.  The oracle
+:func:`brute_poincare` shares none of that code but the degree guard: it
+counts the partitions in every a_i x b_i box by area (the Schubert cells),
+one-sided boxes included, and multiplies those counts with a loop of its
+own, so the two are independent computations of the same polynomial.  It
+too works in int lists and builds one :class:`PoincarePoly`, since building
+a polynomial object per pair cost more than the counting.
 
 :func:`gaussian_binomial` uses the product formula instead of the Pascal
 recurrence, so no path recurses deeper than the short side of a box, and it
@@ -152,22 +151,6 @@ class PoincarePoly:
         while n and coeffs[n - 1] == 0:
             n -= 1
         object.__setattr__(self, "coeffs", coeffs[:n])
-
-    @classmethod
-    def _shifted(cls, R: int, q: Sequence[int]) -> "PoincarePoly":
-        """t^R * q(t^2), checking q instead of its R + 2 * len(q) - 1 coefficients.
-
-        q must be non-empty, hold only exact ints and end in a nonzero entry.
-        The result then passes what ``__post_init__`` checks and has no
-        trailing zero to strip, since only int zeros are added around q.
-        """
-        if not (q and q[-1] and _exact_ints(q)):
-            raise ValueError(f"q must be ints ending in a nonzero entry, got {q!r}")
-        coeffs = [0] * (R + 2 * len(q) - 1)
-        coeffs[R::2] = q
-        poly = object.__new__(cls)
-        object.__setattr__(poly, "coeffs", tuple(coeffs))
-        return poly
 
     @property
     def is_zero(self) -> bool:
@@ -412,10 +395,10 @@ def poincare_poly(B: Bipartition) -> PoincarePoly:
 def _poincare_of(R: int, mixed: tuple[tuple[int, int], ...]) -> PoincarePoly:
     """t^R times the product of the mixed pairs' Gaussian binomials at t^2.
 
-    The product is taken over q = t^2 as an int list.  The coefficient check
-    runs on q, in :meth:`PoincarePoly._shifted`, not on the t^R padding it
-    adds.
+    After the degree guard the product q is taken over t^2 as an int list;
+    it must end in a nonzero entry, which the constructor would strip.
     """
+    _refuse_long_polynomial(R + sum(x * y for x, y in mixed))
     q = [1]
     for x, y in mixed:
         factor = gaussian_binomial(x + y, x).coeffs
@@ -424,7 +407,24 @@ def _poincare_of(R: int, mixed: tuple[tuple[int, int], ...]) -> PoincarePoly:
             for j, d in enumerate(factor, i):
                 out[j] += c * d
         q = out
-    return PoincarePoly._shifted(R, q)
+    if not q[-1]:
+        raise ValueError(f"the product must end in a nonzero entry, got {q!r}")
+    coeffs = [0] * (R + 2 * len(q) - 1)
+    coeffs[R::2] = q
+    return PoincarePoly(tuple(coeffs))
+
+
+def _refuse_long_polynomial(ab: int) -> None:
+    """Refuse a Poincare polynomial on U(a, b) too long to build.
+
+    Its degree is ab + sum(a_i * b_i) >= ab, so it holds at least ab + 1
+    coefficients; ab is held to the brute-force cap.
+    """
+    refuse_above(
+        ab,
+        "a Poincare polynomial would have degree >= {count}, above the cap {cap}",
+        DEFAULT_BRUTE_GUARD,
+    )
 
 
 def _box_partition_counts(rows: int, cols: int) -> list[int]:
@@ -456,13 +456,15 @@ def brute_poincare(B: Bipartition) -> PoincarePoly:
     instead of using Gaussian binomials.  The area counts are multiplied as
     int lists by a loop of its own and placed at degree R + 2d; only the
     result is a :class:`PoincarePoly`.  Refuses when the total
-    specialization product exceeds the brute cap.
+    specialization product exceeds the brute cap, and, as the kernel does,
+    when ab does.
     """
     refuse_above(
         math.prod(math.comb(x + y, x) for x, y in B.pairs),
         "brute enumeration of {count} cells exceeds the cap {cap}",
         DEFAULT_BRUTE_GUARD,
     )
+    _refuse_long_polynomial(B.a * B.b)
     by_area = [1]
     for x, y in B.pairs:
         cells = _box_partition_counts(x, y)

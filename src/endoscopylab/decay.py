@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
+from .guards import refuse_above
+
 if TYPE_CHECKING:
     from .cohomology import Bipartition
 
@@ -40,7 +42,8 @@ def ratio_profile(N: int, N_k: int, c: int, c_k: int) -> DecayProfile:
     ``c_k`` is the smaller side of the mixed pair (so c_k <= N_k / 2) and
     ``c`` the smaller side of the full signature, c >= c_k.  The ratios are
     nonincreasing with maximum (N_k - 1)/(N - 1) at j = 1; the bound is
-    p = 2(N - 1)/(N - N_k), unbounded when N_k = N.
+    p = 2(N - 1)/(N - N_k), unbounded when N_k = N.  The c ratios are
+    refused above the chain cap before any is built.
     """
     if not 1 <= N_k <= N:
         raise ValueError(f"need 1 <= N_k <= N, got N_k={N_k}, N={N}")
@@ -48,6 +51,7 @@ def ratio_profile(N: int, N_k: int, c: int, c_k: int) -> DecayProfile:
         raise ValueError(f"need 0 <= c_k <= c, got c_k={c_k}, c={c}")
     if c_k > N_k // 2:
         raise ValueError(f"c_k={c_k} exceeds half the mixed pair size {N_k}")
+    refuse_above(c, "the decay profile would hold {count} ratios, above the cap {cap}")
     ratios = tuple(
         Fraction(N_k - j, N - j) if j <= c_k else Fraction(0) for j in range(1, c + 1)
     )

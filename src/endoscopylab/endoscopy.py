@@ -76,9 +76,13 @@ class EndoscopicDatum:
 
 
 def elliptic_data(N: int) -> list[EndoscopicDatum]:
-    """All elliptic data of U(N), improper (N, 0) first, n1 descending."""
+    """All elliptic data of U(N), improper (N, 0) first, n1 descending.
+
+    There are N // 2 + 1 of them, refused above the chain cap before any is built.
+    """
     if N < 1:
         raise ValueError(f"rank must be positive, got {N}")
+    refuse_above(N // 2 + 1, "U({N}) has {count} elliptic data, above the cap {cap}", N=N)
     return [EndoscopicDatum(n1, N - n1) for n1 in range(N, (N - 1) // 2, -1)]
 
 

@@ -16,7 +16,6 @@ from itertools import chain, combinations_with_replacement
 from typing import Callable, Iterator
 
 from .bounds import (
-    DominanceResult,
     PacketModel,
     _partitions,
     coefficient_sum,
@@ -209,11 +208,10 @@ def brute_i_disc(
     return total
 
 
-def _fast_path_mismatch(
-    shape: ArthurShape, packet: PacketModel, result: DominanceResult
+def _shape_mismatch(
+    shape: ArthurShape, coefficients: dict[BlockSignVector, Fraction]
 ) -> str | None:
-    """The fast sign-group paths against the brute oracles; None when all agree."""
-    coefficients = brute_coefficients(shape)
+    """The fast shape-level paths against the brute oracles; None when all agree."""
     for vector, coeff in coefficients.items():
         if stable_coefficient(shape, vector) != coeff:
             return f"stable_coefficient off at {vector} for {shape}"
@@ -221,46 +219,52 @@ def _fast_path_mismatch(
         return f"dominant_group off for {shape}"
     if coefficient_sum(shape) != sum(coefficients.values()):
         return f"coefficient_sum off for {shape}"
-    if result.i_value != brute_i_disc(shape, packet, coefficients):
-        return f"i_disc_model off for {shape}"
     return None
 
 
 def check_dominance(seed: int = DEFAULT_SEED) -> CheckResult:
     """Criterion 3: dominance holds over exhaustive and random packets.
 
-    Every packet also cross-checks the fast coefficient, coefficient-sum and
-    Walsh-Hadamard trace paths against the brute oracles above.
+    Each distinct shape also cross-checks the fast coefficient, dominant
+    group and coefficient-sum paths against the brute oracles above, and
+    every packet the Walsh-Hadamard trace against :func:`brute_i_disc`.
     """
+
+    def exhaustive():
+        for r in range(1, 6):
+            for shape in _shapes_with_r_parts(6, r):
+                group = centralizer_group(shape)
+                chars = group.characters()
+                members = tuple((chi, Fraction(1)) for chi in chars)
+                for eps in chars:
+                    yield shape, PacketModel(group.rank, members, eps), eps
+
+    def drawn():
+        rng = random.Random(seed)
+        shapes_by_r = {r: _shapes_with_r_parts(8, r) for r in range(1, 6)}
+        for _ in range(1000):
+            shape = rng.choice(shapes_by_r[rng.randint(1, 5)])
+            yield shape, random_packet(rng, centralizer_group(shape)), None
+
+    coefficients: dict[ArthurShape, dict[BlockSignVector, Fraction]] = {}
     cases = 0
-    for r in range(1, 6):
-        for shape in _shapes_with_r_parts(6, r):
-            group = centralizer_group(shape)
-            chars = group.characters()
-            members = tuple((chi, Fraction(1)) for chi in chars)
-            for eps in chars:
-                packet = PacketModel(group.rank, members, eps)
-                result = dominance_check(shape, packet)
-                if not result.holds:
-                    return CheckResult(
-                        "dominance", False, f"violated for {shape}, eps={eps.mask}"
-                    )
-                mismatch = _fast_path_mismatch(shape, packet, result)
-                if mismatch:
-                    return CheckResult("dominance", False, mismatch)
-                cases += 1
-    rng = random.Random(seed)
-    shapes_by_r = {r: _shapes_with_r_parts(8, r) for r in range(1, 6)}
-    for _ in range(1000):
-        r = rng.randint(1, 5)
-        shape = rng.choice(shapes_by_r[r])
-        packet = random_packet(rng, centralizer_group(shape))
+    for shape, packet, eps in chain(exhaustive(), drawn()):
         result = dominance_check(shape, packet)
         if not result.holds:
-            return CheckResult("dominance", False, f"random violation for {shape}")
-        mismatch = _fast_path_mismatch(shape, packet, result)
-        if mismatch:
-            return CheckResult("dominance", False, mismatch)
+            detail = (
+                f"random violation for {shape}"
+                if eps is None
+                else f"violated for {shape}, eps={eps.mask}"
+            )
+            return CheckResult("dominance", False, detail)
+        coeffs = coefficients.get(shape)
+        if coeffs is None:
+            coeffs = coefficients[shape] = brute_coefficients(shape)
+            mismatch = _shape_mismatch(shape, coeffs)
+            if mismatch:
+                return CheckResult("dominance", False, mismatch)
+        if result.i_value != brute_i_disc(shape, packet, coeffs):
+            return CheckResult("dominance", False, f"i_disc_model off for {shape}")
         cases += 1
     return CheckResult(
         "dominance",

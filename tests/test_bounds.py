@@ -270,9 +270,9 @@ def test_i_disc_model_evaluates_each_minus_rank_once(monkeypatch):
     calls = []
     honest = bounds._numerator
 
-    def counted(r, N, n2):
+    def counted(N, n2):
         calls.append(n2)
-        return honest(r, N, n2)
+        return honest(N, n2)
 
     monkeypatch.setattr(bounds, "_numerator", counted)
     shape = from_cohomological((2,) + (1,) * 7)  # 2^7 entries, minus ranks 0..7

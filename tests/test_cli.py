@@ -111,6 +111,23 @@ def test_packet_guard_exit_code(capsys):
     assert len(err.splitlines()) == 1
 
 
+def run_in_bounded_memory(*args):
+    """A Python child under a 400 MB address-space limit, with the default caps."""
+    limit = 400 * 2**20
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env.pop("ENDOSCOPYLAB_GUARD", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+
+
 @pytest.mark.parametrize(
     "argv, code, out, err",
     [
@@ -144,15 +161,60 @@ def test_packet_guard_exit_code(capsys):
             ["poincare", "--bipartition", "[[50000,0],[0,50000]]"],
             1,
             "",
-            "error: a Poincare polynomial on U(50000,50000) would have degree"
+            "error: a Poincare polynomial would have degree"
             " >= 2500000000, above the cap 1000000\n",
         ),
         (
             ["packet", "--a", "50000", "--b", "50000", "--P", "50000,50000"],
             1,
             "",
-            "error: a Poincare polynomial on U(50000,50000) would have degree"
+            "error: a Poincare polynomial would have degree"
             " >= 2500000000, above the cap 1000000\n",
+        ),
+        (
+            ["endoscopy", "--N", "1000000000"],
+            1,
+            "",
+            "error: U(1000000000) has 500000001 elliptic data, above the cap 100000\n",
+        ),
+        (
+            ["decay", "--bipartition", "[[1000000000,1],[0,999999999]]"],
+            1,
+            "",
+            "error: the decay profile would hold 1000000000 ratios, above the cap 100000\n",
+        ),
+        (
+            [
+                "dominance",
+                "--shape",
+                '{"summands":[{"label":"a","n":1,"m":1},{"label":"b","n":1,"m":1000000000}]}',
+                "--trials",
+                "1",
+            ],
+            0,
+            "dominance for a*nu(1) + b*nu(1000000000): 1 random packets, seed 1729\n"
+            "violations: 0\n"
+            "smallest margin C*S - I: 1\n"
+            "holds: yes\n",
+            "",
+        ),
+        (
+            ["chains", "--shape", '{"summands":[{"label":"a","n":1,"m":1000000000}]}'],
+            0,
+            "refinement chains for a*nu(1000000000) on U(1000000000):\n"
+            "  depth 0  iota=     1  U(1000000000)\n"
+            "chain-sum expansion:\n"
+            "         1  I^{U(1000000000) [a*nu(1000000000)]}\n",
+            "",
+        ),
+        (
+            ["derive", "--N", "1000000000", "--a", "1", "--k", "499999999", "--format", "csv"],
+            0,
+            "terminal,exponent\n"
+            "U(999999998)xU(2),2000000000\n"
+            "U(999999998)xU(1)^2,1999999999\n"
+            "final,2000000000\n",
+            "",
         ),
     ],
     ids=[
@@ -162,27 +224,42 @@ def test_packet_guard_exit_code(capsys):
         "5000 parts refused",
         "poincare degree refused",
         "packet degree refused",
+        "endoscopy data refused",
+        "decay ratios refused",
+        "dominance minus ranks",
+        "chains one huge block",
+        "derive two unit blocks",
     ],
 )
 def test_huge_packet_parts_run_in_bounded_memory(argv, code, out, err):
     # a list with one entry per unit of a would need gigabytes, as would a
-    # polynomial of degree ab = 2.5e9, and a walk with one stack frame per part
+    # polynomial of degree ab = 2.5e9, one entry per elliptic datum, decay
+    # ratio or minus rank up to 1e9, and a walk with one stack frame per part
     # overflows at 1000 parts; under a 400 MB address-space limit such a
     # regression fails instead of taking the host
-    limit = 400 * 2**20
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env.pop("ENDOSCOPYLAB_GUARD", None)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "endoscopylab.cli", *argv],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
-    )
+    proc = run_in_bounded_memory("-m", "endoscopylab.cli", *argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+
+def test_huge_polynomials_are_refused_by_the_library():
+    # both builders refuse the polynomial themselves, with no CLI in front
+    proc = run_in_bounded_memory(
+        "-c",
+        "from endoscopylab.cohomology import Bipartition, brute_poincare, poincare_poly\n"
+        "from endoscopylab.guards import GuardError\n"
+        "B = Bipartition(((50000, 0), (0, 50000)))\n"
+        "for build in (poincare_poly, brute_poincare):\n"
+        "    try:\n"
+        "        build(B)\n"
+        "    except GuardError as exc:\n"
+        "        print(build.__name__, exc)\n",
+    )
+    message = "a Poincare polynomial would have degree >= 2500000000, above the cap 1000000"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0,
+        f"poincare_poly {message}\nbrute_poincare {message}\n",
+        "",
+    )
 
 
 def test_packet_guard_env_override(capsys, monkeypatch):

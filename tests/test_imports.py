@@ -97,15 +97,16 @@ def terms_stores(source: str) -> list[str | None]:
     )
 
 
-def test_only_the_kernel_skips_the_coefficient_check():
-    # _shifted checks only the product q; the oracle and the binomials it is
-    # checked against build through the public constructor and its full check
-    shifted = {path.stem: callers(path.read_text(), "_shifted") for path in MODULES}
-    assert {stem: f for stem, f in shifted.items() if f} == {"cohomology": ["_poincare_of"]}
-    checked = callers((PACKAGE / "cohomology.py").read_text(), "PoincarePoly")
-    assert {"brute_poincare", "gaussian_binomial"} <= set(checked)
-    assert callers("class P:\n    def f(self):\n        return P._shifted(0, [1])\n"
-                   "P._shifted(1, [1])\n", "_shifted") == ["f", None]
+def test_every_poincare_polynomial_is_built_by_its_constructor():
+    # the constructor checks every coefficient, and the degree guard is the
+    # library's, so the CLI refuses nothing itself
+    source = (PACKAGE / "cohomology.py").read_text()
+    assert callers(source, "__new__") == ["_walked"]
+    built = callers(source, "PoincarePoly")
+    assert {"brute_poincare", "gaussian_binomial", "_poincare_of"} <= set(built)
+    assert callers((PACKAGE / "cli.py").read_text(), "refuse_above") == []
+    assert callers("class P:\n    def f(self):\n        return object.__new__(P)\n"
+                   "object.__new__(P)\n", "__new__") == ["f", None]
 
 
 def test_the_poincare_memo_is_filled_only_by_the_kernel():
