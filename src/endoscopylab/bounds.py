@@ -5,9 +5,11 @@ stable coefficients C(psi, s) = iota(s) / |sign group of the split parameter|
 against character-twisted packet traces.  For nonnegative traces every
 twisted term is dominated by the term at the distinguished central sign,
 giving I <= C(psi) * S_dominant with C(psi) the ratio of summed coefficients
-to the dominant one.  The derivation engine composes that inequality with the
-refinement-chain expansion, congruence transfer scaling, character counting,
-and limit multiplicity growth into the closed exponent N(N - 2k).
+to the dominant one.  Both sign-group sums are signed subset sums over the
+ranks of the minus blocks, so neither lists the 2^(r-1) elements.  The
+derivation engine composes that inequality with the refinement-chain
+expansion, congruence transfer scaling, character counting, and limit
+multiplicity growth into the closed exponent N(N - 2k).
 """
 
 from __future__ import annotations
@@ -16,16 +18,11 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from functools import cache, partial
+from typing import Callable, NamedTuple
 
 from .cohomology import lowest_degree
-from .endoscopy import (
-    EndoscopicDatum,
-    _guarded_sign_group,
-    _subset_ranks,
-    dominant_group,
-    iota,
-)
+from .endoscopy import EndoscopicDatum, dominant_group, iota
 from .guards import DEFAULT_CHAIN_GUARD, guard_limit, refuse_above
 from .hyperendoscopy import GroupSymbol
 from .params import (
@@ -73,7 +70,7 @@ class PacketModel:
                 raise ValueError(f"traces must be int or Fraction, got {trace!r}")
             if chi.rank != self.rank:
                 raise ValueError("member character has mismatched group rank")
-            if trace < 0:
+            if trace.numerator < 0:  # a Fraction compare costs about 5x more
                 raise ValueError(f"negative trace {trace} in packet")
         object.__setattr__(self, "members", members)
 
@@ -128,68 +125,81 @@ def stable_coefficient(shape: ArthurShape, s: BlockSignVector) -> Fraction:
     return Fraction(_numerator(shape.N, n2), 4 << group.rank)
 
 
+def _rank_classes(shape: ArthurShape) -> tuple[dict[int, int], int]:
+    """Rank d -> mask of the blocks 1..r-1 of rank d (bit i is block i + 1),
+    and the most ranks their subsets reach, min(2^(r-1), N - dim_0 + 1)."""
+    classes: dict[int, int] = {}
+    for i, s in enumerate(shape.summands[1:]):
+        classes[s.block_dim] = classes.get(s.block_dim, 0) | 1 << i
+    return classes, min(1 << (shape.r - 1), shape.N - shape.summands[0].block_dim + 1)
+
+
+def _signed_sum(numerator: Callable[[int], int], classes: dict[int, int], m: int) -> int:
+    """C^[m] * 4 * 2^(r-1), the sign-group transform of the coefficients at m:
+    sum_n2 numerator(n2) * [x^n2] prod_d (1 - x^d)^k (1 + x^d)^(c - k),
+    where m flips k of the c blocks of rank d."""
+    poly = {0: 1}  # poly[n2]: signed count of subsets of blocks 1..r-1 of rank n2
+    for d, mask in classes.items():
+        flipped = (m & mask).bit_count()
+        for j in range(mask.bit_count()):
+            sign = -1 if j < flipped else 1
+            for n2, v in list(poly.items()):
+                poly[n2 + d] = poly.get(n2 + d, 0) + sign * v
+    return sum(v * numerator(n2) for n2, v in poly.items())
+
+
 def coefficient_sum(shape: ArthurShape) -> Fraction:
     """sum over the sign group of C(psi, s), one term per reachable minus rank.
 
     The minus blocks of an element are a subset of blocks 1..r-1 and its
     coefficient depends only on their total rank, so a count of those
-    subsets by rank replaces the walk over all 2^(r-1) elements.  The count
-    holds at most min(2^(r-1), N - dim_0 + 1) ranks, which is refused above
-    the chain cap first; each block then costs one pass over the ranks.
+    subsets by rank (C^[0] of :func:`i_disc_model`) replaces the walk over
+    all 2^(r-1) elements.  The count holds at most min(2^(r-1), N - dim_0 + 1)
+    ranks, which is refused above the chain cap first.
     """
     group = centralizer_group(shape)
-    dims = [s.block_dim for s in shape.summands]
+    classes, ranks = _rank_classes(shape)
     refuse_above(
-        min(group.order, shape.N - dims[0] + 1),
-        "the coefficient sum would count up to {count} minus ranks, above the cap {cap}",
+        ranks, "the coefficient sum would count up to {count} minus ranks, above the cap {cap}"
     )
-    count = {0: 1}  # count[n2]: subsets of blocks 1..r-1 of rank n2
-    for d in dims[1:]:
-        for n2, c in list(count.items()):
-            count[n2 + d] = count.get(n2 + d, 0) + c
-    total = sum(c * _numerator(shape.N, n2) for n2, c in count.items())
-    return Fraction(total, 4 << group.rank)
-
-
-def _walsh_hadamard(values: list[int]) -> None:
-    """In place: values[m] becomes sum_e values[e] * (-1)^popcount(m & e)."""
-    h = 1
-    while h < len(values):
-        for start in range(0, len(values), 2 * h):
-            for j in range(start, start + h):
-                x, y = values[j], values[j + h]
-                values[j], values[j + h] = x + y, x - y
-        h *= 2
+    return Fraction(_signed_sum(partial(_numerator, shape.N), classes, 0), 4 << group.rank)
 
 
 def i_disc_model(shape: ArthurShape, packet: PacketModel) -> Fraction:
     """Exact double sum: coefficients against character values at s_psi * s.
 
     With m = chi.mask ^ epsilon.mask the double sum is
-    sum_chi t_chi * (-1)^<m, s_psi> * C^(m), where C^ is the Walsh-Hadamard
-    transform of the coefficient table, so it costs O(r * 2^r + members).
-    The members are summed as int numerators over the lcm of the trace
-    denominators, and divided once.
-    The 2^(r-1)-entry table is counted first and refused above the chain cap.
+    sum_chi t_chi * (-1)^<m, s_psi> * C^(m), where C^ is the sign-group
+    transform of the coefficients.  C^(m) depends on m only through how many
+    blocks of each rank it flips, so one signed subset sum per such count
+    tuple, kept for this call, replaces a 2^(r-1)-entry table.  The members
+    are summed as int numerators over the lcm of their denominators, and
+    divided once.  The work is counted first and refused above the chain cap.
     """
-    group = _guarded_sign_group(shape)
+    group = centralizer_group(shape)
     if packet.rank != group.rank:
         raise ValueError(
             f"packet rank {packet.rank} does not match group rank {group.rank}"
         )
-    # bit i of an element toggles block i + 1
-    minus_rank = _subset_ranks([s.block_dim for s in shape.summands[1:]])
-    # one coefficient per distinct minus rank (at most N + 1), not per entry
-    by_rank = {n2: _numerator(shape.N, n2) for n2 in set(minus_rank)}
-    table = [by_rank[n2] for n2 in minus_rank]
-    _walsh_hadamard(table)
+    classes, ranks = _rank_classes(shape)
+    members = len(packet.members)
+    tuples = math.prod(mask.bit_count() + 1 for mask in classes.values())
+    refuse_above(
+        members + min(members, tuples) * group.rank * ranks,
+        "the discrete trace would take {count} summing steps, above the cap {cap}",
+    )
     sp = group.from_sign_vector(s_psi(shape))
     numerators, den = _over_common_denominator(packet.members)
     eps = packet.epsilon.mask
+    of_rank = cache(partial(_numerator, shape.N))  # one call per minus rank
+    transform: dict[tuple[int, ...], int] = {}
     total = 0
     for (chi, _), numerator in zip(packet.members, numerators):
         m = chi.mask ^ eps
-        term = numerator * table[m]
+        flips = tuple((m & mask).bit_count() for mask in classes.values())
+        if flips not in transform:
+            transform[flips] = _signed_sum(of_rank, classes, m)
+        term = numerator * transform[flips]
         total += -term if (m & sp).bit_count() % 2 else term
     return Fraction(total, den * (4 << group.rank))
 
@@ -206,8 +216,8 @@ def dominance_check(shape: ArthurShape, packet: PacketModel) -> DominanceResult:
 
     At s = s_psi the twist is trivial (all signs +1), so the dominant term
     is the plain trace sum; every other term is bounded by it when traces
-    are nonnegative.  The trace runs over a 2^(r-1)-entry coefficient table,
-    which is counted first and refused above the chain cap.
+    are nonnegative.  Both sums count their work first and refuse it above
+    the chain cap; neither builds a 2^(r-1)-entry table.
     """
     i_value = i_disc_model(shape, packet)
     c_dom = stable_coefficient(shape, s_psi(shape))

@@ -31,10 +31,6 @@ class DecayProfile:
     ratios: tuple[Fraction, ...]
     p_bound: Fraction | None
 
-    @property
-    def unbounded(self) -> bool:
-        return self.p_bound is None
-
 
 def ratio_profile(N: int, N_k: int, c: int, c_k: int) -> DecayProfile:
     """Ratios (N_k - j)/(N - j) for j = 1..c, zero past c_k.
@@ -68,7 +64,8 @@ def p_bound_of_bipartition(B: Bipartition) -> Fraction | None:
     mixed = [(x, y) for x, y in B.pairs if x >= 1 and y >= 1]
     if len(mixed) != 1:
         raise ValueError(
-            f"decay bound needs exactly one mixed pair, found {len(mixed)} in {B}"
+            f"decay bound needs exactly one mixed pair, found {len(mixed)} "
+            f"among {len(B.pairs)} pairs"
         )
     N = B.N
     N_k = sum(mixed[0])

@@ -103,10 +103,6 @@ class GroupSymbol:
     def dim(self) -> int:
         return sum(k * k for k in self.ranks)
 
-    @property
-    def total_rank(self) -> int:
-        return sum(self.ranks)
-
     @classmethod
     def of_factors(cls, factors: Iterable[ArthurShape]) -> "GroupSymbol":
         return cls(tuple(f.N for f in factors))

@@ -168,10 +168,6 @@ class TwoGroup:
     def elements(self) -> range:
         return range(self.order)
 
-    @property
-    def identity(self) -> int:
-        return 0
-
     def to_sign_vector(self, element: int) -> BlockSignVector:
         if not 0 <= element < self.order:
             raise ValueError(f"element {element} outside group of rank {self.rank}")

@@ -227,7 +227,7 @@ def check_dominance(seed: int = DEFAULT_SEED) -> CheckResult:
 
     Each distinct shape also cross-checks the fast coefficient, dominant
     group and coefficient-sum paths against the brute oracles above, and
-    every packet the Walsh-Hadamard trace against :func:`brute_i_disc`.
+    every packet the subset-sum trace against :func:`brute_i_disc`.
     """
 
     def exhaustive():
@@ -464,7 +464,7 @@ def _random_inner_form(rng: random.Random) -> tuple[InnerFormSpec, int]:
     for _ in range(rng.randint(1, 3)):
         q = rng.randint(0, N)
         signatures.append((N - q, q))
-    flips = {f"w{i}" for i in range(1, 4) if rng.random() < 0.5}
+    flips = {f"w{i}" for i in range(1, 4) if rng.getrandbits(1)}
     spec = InnerFormSpec(tuple(signatures), frozenset(flips))
     if not check_inner_form(spec, N):
         # repair parity by toggling one more finite place
@@ -484,7 +484,7 @@ def check_inner_forms(seed: int = DEFAULT_SEED) -> CheckResult:
             return CheckResult(
                 "inner_forms", False, f"product != +1 for valid spec, case {case}"
             )
-        if rng.random() < 0.5:
+        if rng.getrandbits(1):
             flips = set(spec.finite_flips) ^ {f"w{rng.randint(0, 3)}"}
             flipped = InnerFormSpec(spec.signatures, frozenset(flips))
         else:

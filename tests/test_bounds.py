@@ -242,27 +242,29 @@ def test_dominance_full_packet_ten_blocks():
 
 
 def test_dominance_check_guard_counts_the_table_first(monkeypatch):
-    shape = from_cohomological((4, 3, 2, 1))  # 2^3 table entries
+    # 8 members + min(8, 2*2*2 count tuples) * 3 blocks * min(8, 10 - 4 + 1) ranks
+    shape = from_cohomological((4, 3, 2, 1))
     packet = trivial_packet(shape)
-    monkeypatch.setenv("ENDOSCOPYLAB_GUARD", "7")
-    with pytest.raises(GuardError, match="8 entries"):
+    monkeypatch.setenv("ENDOSCOPYLAB_GUARD", "175")
+    with pytest.raises(GuardError, match="176 summing steps"):
         dominance_check(shape, packet)
-    monkeypatch.setenv("ENDOSCOPYLAB_GUARD", "8")
+    monkeypatch.setenv("ENDOSCOPYLAB_GUARD", "176")
     assert dominance_check(shape, packet).holds
     monkeypatch.delenv("ENDOSCOPYLAB_GUARD")
+    # a one-member packet on a 2^23-element group: chi = epsilon gives m = 0
     wide = from_cohomological((1,) * 24)
     single = PacketModel(23, ((GroupChar(23, 0), Fraction(1)),), GroupChar(23, 0))
-    with pytest.raises(GuardError):
-        dominance_check(wide, single)
+    assert i_disc_model(wide, single) == coefficient_sum(wide)
+    assert dominance_check(wide, single).holds
 
 
 def test_i_disc_model_guard_reads_env(monkeypatch):
-    shape = from_cohomological((4, 3, 2, 1))  # 2^3 table entries
+    shape = from_cohomological((4, 3, 2, 1))
     packet = trivial_packet(shape)
-    monkeypatch.setenv("ENDOSCOPYLAB_GUARD", "7")
-    with pytest.raises(GuardError, match="8 entries"):
+    monkeypatch.setenv("ENDOSCOPYLAB_GUARD", "175")
+    with pytest.raises(GuardError, match="176 summing steps"):
         i_disc_model(shape, packet)
-    monkeypatch.setenv("ENDOSCOPYLAB_GUARD", "8")
+    monkeypatch.setenv("ENDOSCOPYLAB_GUARD", "176")
     assert i_disc_model(shape, packet) == 1
 
 
@@ -281,6 +283,39 @@ def test_i_disc_model_evaluates_each_minus_rank_once(monkeypatch):
     calls.clear()
     assert i_disc_model(shape, packet) == expected
     assert sorted(calls) == list(range(8))
+
+
+def test_i_disc_model_matches_brute_on_random_packets():
+    # seeded labelled shapes with r <= 8 and blocks of rank n*m, n and m in
+    # 1..3, so that ranks repeat; against the double sum over the bijection table
+    rng = random.Random(21)
+    for _ in range(320):
+        shape = ArthurShape(
+            tuple(
+                Summand(f"c{i}", rng.randint(1, 3), rng.randint(1, 3))
+                for i in range(rng.randint(1, 8))
+            )
+        )
+        packet = random_packet(rng, centralizer_group(shape))
+        expected = brute_i_disc(shape, packet, brute_coefficients(shape))
+        assert i_disc_model(shape, packet) == expected, (shape, packet)
+
+
+def test_i_disc_model_on_forty_blocks_is_the_closed_form():
+    # N = 41 is odd: only the members with chi = epsilon survive the group sum
+    shape = from_cohomological((2,) + (1,) * 39)
+    rng = random.Random(40)
+    eps = GroupChar(39, rng.getrandbits(39))
+    masks = [eps.mask] + [rng.getrandbits(39) for _ in range(9)]
+    members = tuple(
+        (GroupChar(39, mask), Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+        for mask in masks
+    )
+    packet = PacketModel(39, members, eps)
+    assert len({chi.mask for chi, _ in members}) == 10
+    expected = sum(t for chi, t in members if chi.mask == eps.mask)
+    assert i_disc_model(shape, packet) == expected != 0
+    assert dominance_check(shape, packet).holds
 
 
 @pytest.mark.parametrize("parts", [(2, 1, 1, 1), (3, 2, 1, 1, 1), (4, 3, 2, 1)])

@@ -587,19 +587,22 @@ def test_sign_table_guard_exit_code(capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, runs_at",
     [
-        ("endoscopy", "--N", "10", "--shape", BLOCKS_4),
-        ("dominance", "--shape", BLOCKS_4, "--trials", "3"),
+        (("endoscopy", "--N", "10", "--shape", BLOCKS_4), 8),
+        # past the 8-entry sign table, the trace of a packet counts at most
+        # 8 members + 8 count tuples * 3 blocks * 8 minus ranks = 200 steps
+        (("dominance", "--shape", BLOCKS_4, "--trials", "3"), 200),
     ],
     ids=["endoscopy", "dominance"],
 )
-def test_sign_table_guard_env_override(capsys, monkeypatch, argv):
+def test_sign_table_guard_env_override(capsys, monkeypatch, argv, runs_at):
     monkeypatch.setenv("ENDOSCOPYLAB_GUARD", "7")
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert one_error_line(err)
-    monkeypatch.setenv("ENDOSCOPYLAB_GUARD", "8")
+    assert "8 entries" in err
+    monkeypatch.setenv("ENDOSCOPYLAB_GUARD", str(runs_at))
     code, _, err = run(capsys, *argv)
     assert (code, err) == (0, "")
 

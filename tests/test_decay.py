@@ -16,7 +16,7 @@ def test_ratio_profile_example():
     profile = ratio_profile(5, 4, 2, 2)
     assert profile.ratios == (Fraction(3, 4), Fraction(2, 3))
     assert profile.p_bound == 8
-    assert not profile.unbounded
+    assert profile.p_bound is not None
 
 
 def test_ratio_profile_tempered_direction():
@@ -31,9 +31,7 @@ def test_ratio_profile_half():
 
 
 def test_ratio_profile_unbounded():
-    profile = ratio_profile(4, 4, 2, 2)
-    assert profile.unbounded
-    assert profile.p_bound is None
+    assert ratio_profile(4, 4, 2, 2).p_bound is None
 
 
 def test_ratios_nonincreasing_and_max():
@@ -69,6 +67,13 @@ def test_p_bound_hypothesis_gate():
         p_bound_of_bipartition(Bipartition(((1, 0), (0, 1))))
     with pytest.raises(ValueError):
         p_bound_of_bipartition(Bipartition(((1, 1), (1, 1))))
+
+
+def test_p_bound_gate_message_names_the_pair_count():
+    pairs = ((1, 0),) * 300000
+    with pytest.raises(ValueError, match="found 0 among 300000 pairs") as info:
+        p_bound_of_bipartition(Bipartition(pairs))
+    assert len(str(info.value).encode()) < 200
 
 
 @pytest.mark.parametrize(

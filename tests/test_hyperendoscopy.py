@@ -36,7 +36,7 @@ def test_group_symbol_normalizes():
     g = GroupSymbol((1, 2, 2))
     assert g.ranks == (2, 2, 1)
     assert g.dim == 9
-    assert g.total_rank == 5
+    assert sum(g.ranks) == 5
     assert str(g) == "U(2)^2xU(1)"
     with pytest.raises(ValueError):
         GroupSymbol(())

@@ -60,6 +60,64 @@ def test_guard_error_is_raised_only_by_the_guards_helper():
     assert guard_error_calls("raise guards.GuardError('x')\n") == [1]
 
 
+# the math functions that return an int on int arguments
+INT_MATH = {"comb", "factorial", "gcd", "isqrt", "lcm", "perm", "prod"}
+
+
+def float_uses(source: str) -> list[str]:
+    """Float literals, float() calls and float-valued math names, by line.
+
+    The one float allowed is the default of ``CheckResult.elapsed_s``, a
+    check's wall time and not a reported number.
+    """
+    tree = ast.parse(source)
+    allowed = {
+        id(stmt.value)
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and cls.name == "CheckResult"
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign) and getattr(stmt.target, "id", None) == "elapsed_s"
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            if id(node) not in allowed:
+                found.append(f"literal {node.value!r} (line {node.lineno})")
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "float":
+            found.append(f"float() (line {node.lineno})")
+        elif (
+            isinstance(node, ast.Attribute)
+            and getattr(node.value, "id", None) == "math"
+            and node.attr not in INT_MATH
+        ):
+            found.append(f"math.{node.attr} (line {node.lineno})")
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            found.extend(
+                f"math.{alias.name} (line {node.lineno})"
+                for alias in node.names
+                if alias.name not in INT_MATH
+            )
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_module_computes_no_float(path):
+    # every reported number is an int or a Fraction
+    assert float_uses(path.read_text()) == []
+
+
+def test_float_check_sees_each_kind():
+    source = (
+        "import math\nfrom math import comb, sqrt\n"
+        "x = 0.5\ny = float(3)\nz = math.log(2) + math.pi\nw = math.comb(4, 2)\n"
+        "class CheckResult:\n    elapsed_s: float = 0.0\n    other: float = 0.0\n"
+    )
+    assert sorted(float_uses(source)) == [
+        "float() (line 4)", "literal 0.0 (line 9)", "literal 0.5 (line 3)",
+        "math.log (line 5)", "math.pi (line 5)", "math.sqrt (line 2)",
+    ]
+
+
 def enclosing(source: str, match) -> list[str | None]:
     """The innermost function around each node that match accepts; None for a
     node outside every function."""
