@@ -125,13 +125,22 @@ def stable_coefficient(shape: ArthurShape, s: BlockSignVector) -> Fraction:
     return Fraction(_numerator(shape.N, n2), 4 << group.rank)
 
 
-def _rank_classes(shape: ArthurShape) -> tuple[dict[int, int], int]:
+def _rank_classes(shape: ArthurShape) -> tuple[dict[int, int], int, int]:
     """Rank d -> mask of the blocks 1..r-1 of rank d (bit i is block i + 1),
-    and the most ranks their subsets reach, min(2^(r-1), N - dim_0 + 1)."""
+    the entries one :func:`_signed_sum` visits, s_0 + ... + s_(r-2), and the
+    most ranks it ends with, s_(r-1) <= min(2^(r-1), N - dim_0 + 1).  Before
+    block i in class order its poly holds at most s_i <= min(2^i, D_i + 1)
+    entries: s_0 = 1, s_(i+1) = min(2 * s_i, D_(i+1) + 1), where D_i is the
+    rank sum of the blocks before block i."""
     classes: dict[int, int] = {}
     for i, s in enumerate(shape.summands[1:]):
         classes[s.block_dim] = classes.get(s.block_dim, 0) | 1 << i
-    return classes, min(1 << (shape.r - 1), shape.N - shape.summands[0].block_dim + 1)
+    passes, size, reach = 0, 1, 0
+    for d, mask in classes.items():
+        for _ in range(mask.bit_count()):
+            passes, reach = passes + size, reach + d
+            size = min(2 * size, reach + 1)
+    return classes, passes, size
 
 
 def _signed_sum(numerator: Callable[[int], int], classes: dict[int, int], m: int) -> int:
@@ -155,10 +164,10 @@ def coefficient_sum(shape: ArthurShape) -> Fraction:
     coefficient depends only on their total rank, so a count of those
     subsets by rank (C^[0] of :func:`i_disc_model`) replaces the walk over
     all 2^(r-1) elements.  The count holds at most min(2^(r-1), N - dim_0 + 1)
-    ranks, which is refused above the chain cap first.
+    ranks (:func:`_rank_classes`), which is refused above the chain cap first.
     """
     group = centralizer_group(shape)
-    classes, ranks = _rank_classes(shape)
+    classes, _, ranks = _rank_classes(shape)
     refuse_above(
         ranks, "the coefficient sum would count up to {count} minus ranks, above the cap {cap}"
     )
@@ -176,20 +185,26 @@ def i_disc_model(shape: ArthurShape, packet: PacketModel) -> Fraction:
     are summed as int numerators over the lcm of their denominators, and
     divided once.  The work is counted first and refused above the chain cap.
     """
+    return _i_disc(shape, packet, *_over_common_denominator(packet.members))
+
+
+def _i_disc(
+    shape: ArthurShape, packet: PacketModel, numerators: list[int], den: int
+) -> Fraction:
+    """:func:`i_disc_model` with the traces given as numerators over den."""
     group = centralizer_group(shape)
     if packet.rank != group.rank:
         raise ValueError(
             f"packet rank {packet.rank} does not match group rank {group.rank}"
         )
-    classes, ranks = _rank_classes(shape)
+    classes, passes, _ = _rank_classes(shape)
     members = len(packet.members)
     tuples = math.prod(mask.bit_count() + 1 for mask in classes.values())
     refuse_above(
-        members + min(members, tuples) * group.rank * ranks,
+        members + min(members, tuples) * passes,
         "the discrete trace would take {count} summing steps, above the cap {cap}",
     )
     sp = group.from_sign_vector(s_psi(shape))
-    numerators, den = _over_common_denominator(packet.members)
     eps = packet.epsilon.mask
     of_rank = cache(partial(_numerator, shape.N))  # one call per minus rank
     transform: dict[tuple[int, ...], int] = {}
@@ -217,11 +232,13 @@ def dominance_check(shape: ArthurShape, packet: PacketModel) -> DominanceResult:
     At s = s_psi the twist is trivial (all signs +1), so the dominant term
     is the plain trace sum; every other term is bounded by it when traces
     are nonnegative.  Both sums count their work first and refuse it above
-    the chain cap; neither builds a 2^(r-1)-entry table.
+    the chain cap; neither builds a 2^(r-1)-entry table.  The traces are put
+    over their common denominator once, for both.
     """
-    i_value = i_disc_model(shape, packet)
+    numerators, den = _over_common_denominator(packet.members)
+    i_value = _i_disc(shape, packet, numerators, den)
     c_dom = stable_coefficient(shape, s_psi(shape))
-    s_dominant = c_dom * packet.trace_total
+    s_dominant = c_dom * Fraction(sum(numerators), den)
     c_psi = coefficient_sum(shape) / c_dom
     return DominanceResult(i_value, s_dominant, c_psi, i_value <= c_psi * s_dominant)
 

@@ -3,6 +3,10 @@
 Exit codes: 0 success, 1 guard violation or failed check run, 2 usage error.
 All numeric output is exact; fractions render as "p/q".  Shapes and
 bipartitions are given inline as JSON or as a path to a JSON file.
+
+Each command makes every call that can refuse, then returns the requested
+format only: a json payload, csv rows or table lines.  ``_emit`` writes them
+as they are rendered, so a refusal leaves stdout empty.
 """
 
 from __future__ import annotations
@@ -13,6 +17,8 @@ import json
 import os
 import random
 import sys
+from collections.abc import Iterator
+from itertools import chain
 from typing import TYPE_CHECKING, Sequence
 
 # Library modules are imported inside the commands, so a process loads only
@@ -20,8 +26,6 @@ from typing import TYPE_CHECKING, Sequence
 from .guards import DEFAULT_CHAIN_GUARD, DEFAULT_SEED, GuardError, guard_limit
 
 if TYPE_CHECKING:
-    from fractions import Fraction
-
     from .cohomology import Bipartition, PoincarePoly
     from .params import ArthurShape
 
@@ -56,77 +60,76 @@ def _bipartition_arg(text: str) -> Bipartition:
     return bipartition_from_json(_load_json_text(text))
 
 
-def _add_expansion(terms: list, want_json: bool, payload: dict, lines: list[str]) -> None:
-    """Render the sorted terms of an expansion as lines and, for json, a payload list."""
+def _expansion(terms, fmt: str):
+    """The sorted terms of an expansion as json items, csv rows or table lines."""
     from .hyperendoscopy import GroupSymbol
     from .params import num_json, shape_to_json
 
-    if want_json:
-        payload["expansion"] = [
-            {
+    for key, coeff in terms:
+        group = str(GroupSymbol.of_factors(key))
+        if fmt == "json":
+            yield {
                 "coefficient": num_json(coeff),
-                "group": str(GroupSymbol.of_factors(key)) if key else "1",
+                "group": group if key else "1",
                 "factors": [shape_to_json(f) for f in key],
             }
-            for key, coeff in terms
-        ]
-    for key, coeff in terms:
-        factors = (
-            f"{GroupSymbol.of_factors(key)} [{' | '.join(map(str, key))}]" if key else "1"
-        )
-        lines.append(f"  {coeff!s:>8}  I^{{{factors}}}")
+        elif fmt == "csv":
+            yield str(coeff), group, " | ".join(map(str, key))
+        else:
+            label = f"{group} [{' | '.join(map(str, key))}]" if key else "1"
+            yield f"  {coeff!s:>8}  I^{{{label}}}"
 
 
-def _emit(fmt: str, payload: dict, lines: list[str], rows: list[Sequence]) -> None:
-    """The one render path of every command; json output leads with the schema."""
+def _json_chunks(payload: dict):
+    """The text of json.dumps({"schema_version": 1, **payload}, indent=2) and a
+    newline, in pieces: a value that is an iterator is written as a list, one
+    item at a time."""
+    sep = "{"
+    for key, value in {"schema_version": SCHEMA_VERSION, **payload}.items():
+        yield f"{sep}\n  {json.dumps(key)}: "
+        sep = ","
+        if isinstance(value, Iterator):
+            head = "["
+            for item in value:
+                yield f"{head}\n    " + json.dumps(item, indent=2).replace("\n", "\n    ")
+                head = ","
+            yield "[]" if head == "[" else "\n  ]"
+        else:
+            yield json.dumps(value, indent=2).replace("\n", "\n  ")
+    yield "\n}\n"
+
+
+def _emit(fmt: str, out) -> None:
+    """The one writer to stdout: each piece of the output as it is rendered."""
     if fmt == "json":
-        print(json.dumps({"schema_version": SCHEMA_VERSION, **payload}, indent=2))
+        sys.stdout.writelines(_json_chunks(out))
     elif fmt == "csv":
-        writer = csv.writer(sys.stdout)
-        for row in rows:
-            writer.writerow(row)
+        csv.writer(sys.stdout).writerows(out)
     else:
-        for line in lines:
-            print(line)
+        sys.stdout.writelines(f"{line}\n" for line in out)
 
 
-def _cmd_endoscopy(ns: argparse.Namespace) -> int:
+def _cmd_endoscopy(ns: argparse.Namespace, fmt: str):
     from .endoscopy import bijection, datum_to_json, elliptic_data, iota, split_to_json
     from .params import num_json, s_psi, shape_to_json
 
     data = elliptic_data(ns.N)
-    payload: dict = {
-        "N": ns.N,
-        "data": [
-            {**datum_to_json(d), "iota": num_json(iota(d))} for d in data
-        ],
-    }
-    lines = [f"elliptic endoscopic data for U({ns.N}):"]
-    rows: list[Sequence] = [("n1", "n2", "iota", "kappa1", "kappa2")]
-    for d in data:
-        k1, k2 = d.kappa
-        lines.append(f"  {d}  iota={iota(d)!s}  kappa=({k1:+d},{k2:+d})")
-        rows.append((d.n1, d.n2, str(iota(d)), k1, k2))
+    table = None
     if ns.shape is not None:
         shape = _shape_arg(ns.shape)
         if shape.N != ns.N:
             raise ValueError(f"shape has N={shape.N}, but --N {ns.N} was given")
-        table = bijection(shape)
         center = s_psi(shape)
-        payload["shape"] = shape_to_json(shape)
-        payload["s_psi"] = str(center)
-        payload["table"] = []
-        lines.append(f"shape: {shape}")
-        lines.append(f"character table (s_psi = {center}):")
-        rows = [("s", "n1", "n2", "iota", "is_s_psi")]
-        for s in sorted(table, key=lambda v: str(v)):
-            datum, split = table[s]
-            mark = "  <-- s_psi" if s == center else ""
-            lines.append(
-                f"  {s}  ->  {datum}  iota={iota(datum)!s}  [{split}]{mark}"
-            )
-            rows.append((str(s), datum.n1, datum.n2, str(iota(datum)), s == center))
-            payload["table"].append(
+        table = sorted(bijection(shape).items(), key=lambda entry: str(entry[0]))
+    if fmt == "json":
+        payload: dict = {
+            "N": ns.N,
+            "data": ({**datum_to_json(d), "iota": num_json(iota(d))} for d in data),
+        }
+        if table is not None:
+            payload["shape"] = shape_to_json(shape)
+            payload["s_psi"] = str(center)
+            payload["table"] = (
                 {
                     "s": str(s),
                     "datum": datum_to_json(datum),
@@ -134,105 +137,121 @@ def _cmd_endoscopy(ns: argparse.Namespace) -> int:
                     "split": split_to_json(split),
                     "is_s_psi": s == center,
                 }
+                for s, (datum, split) in table
             )
-    _emit(ns.format, payload, lines, rows)
-    return 0
+        return payload
+    if fmt == "csv":
+        if table is None:
+            return chain(
+                [("n1", "n2", "iota", "kappa1", "kappa2")],
+                ((d.n1, d.n2, str(iota(d)), *d.kappa) for d in data),
+            )
+        return chain(
+            [("s", "n1", "n2", "iota", "is_s_psi")],
+            (
+                (str(s), datum.n1, datum.n2, str(iota(datum)), s == center)
+                for s, (datum, _) in table
+            ),
+        )
+
+    def lines():
+        yield f"elliptic endoscopic data for U({ns.N}):"
+        for d in data:
+            k1, k2 = d.kappa
+            yield f"  {d}  iota={iota(d)!s}  kappa=({k1:+d},{k2:+d})"
+        if table is not None:
+            yield f"shape: {shape}"
+            yield f"character table (s_psi = {center}):"
+            for s, (datum, split) in table:
+                mark = "  <-- s_psi" if s == center else ""
+                yield f"  {s}  ->  {datum}  iota={iota(datum)!s}  [{split}]{mark}"
+
+    return lines()
 
 
-def _cmd_chains(ns: argparse.Namespace) -> int:
+def _cmd_chains(ns: argparse.Namespace, fmt: str):
     from .endoscopy import datum_to_json, dominant_group, iota, split_to_json
-    from .hyperendoscopy import (
-        GroupSymbol,
-        chain_expansion,
-        chain_iota,
-        dominant_contribution,
-        enumerate_chains,
-    )
+    from .hyperendoscopy import (chain_expansion, chain_iota, dominant_contribution,
+                                 enumerate_chains)
     from .params import num_json, s_psi, shape_to_json
 
     shape = _shape_arg(ns.shape)
     if ns.N is not None and shape.N != ns.N:
         raise ValueError(f"shape has N={shape.N}, but --N {ns.N} was given")
-    payload: dict = {
-        "shape": shape_to_json(shape),
-        "dominant": ns.dominant,
-    }
-    lines: list[str] = []
-    rows: list[Sequence] = []
-    want_json = ns.format == "json"
     if ns.dominant:
         center = s_psi(shape)
         terms = dominant_contribution(shape).items()
-        if center.is_identity:
-            lines.append(
-                f"s_psi = {center} is the identity; full stable expansion on U({shape.N}):"
-            )
+        dominant = None if center.is_identity else dominant_group(shape)
+        if fmt == "json":
+            payload: dict = {"shape": shape_to_json(shape), "dominant": True}
             payload["dominant_datum"] = None
-        else:
-            datum, split = dominant_group(shape)
-            lines.append(
+            if dominant:
+                payload["dominant_datum"] = datum_to_json(dominant[0])
+                payload["dominant_split"] = split_to_json(dominant[1])
+            payload["expansion"] = _expansion(terms, fmt)
+            return payload
+        if fmt == "csv":
+            head = ("coefficient", "group", "factors")
+        elif dominant:
+            datum, split = dominant
+            head = (
                 f"dominant group {datum} at s_psi = {center}, "
                 f"iota={iota(datum)!s}, split [{split}]:"
             )
-            payload["dominant_datum"] = datum_to_json(datum)
-            payload["dominant_split"] = split_to_json(split)
-        _add_expansion(terms, want_json, payload, lines)
-        rows.append(("coefficient", "group", "factors"))
-        rows.extend(
-            (str(coeff), str(GroupSymbol.of_factors(key)), " | ".join(map(str, key)))
-            for key, coeff in terms
-        )
-        _emit(ns.format, payload, lines, rows)
-        return 0
+        else:
+            head = f"s_psi = {center} is the identity; full stable expansion on U({shape.N}):"
+        return chain([head], _expansion(terms, fmt))
     chains = enumerate_chains(shape=shape)
     terms = chain_expansion(shape=shape).items()
-    if want_json:
-        payload["chains"] = []
-    lines.append(f"refinement chains for {shape} on U({shape.N}):")
-    rows.append(("depth", "iota", "terminal", "steps"))
     # the chains share their ChainStep objects, and the list keeps them alive,
     # so each distinct step is rendered once, keyed by its id
-    step_text: dict[int, str] = {}
-    step_json: dict[int, dict] = {}
-    for chain in chains:
-        texts = []
-        for step in chain.steps:
-            text = step_text.get(id(step))
-            if text is None:
-                text = f"factor {step.factor}: {step.datum} [{step.split}]"
-                step_text[id(step)] = text
-            texts.append(text)
-        steps_str = "; ".join(texts)
-        value = chain_iota(chain)
-        terminal = str(chain.terminal)
-        lines.append(
-            f"  depth {chain.depth}  iota={value!s:>6}  {terminal}"
-            + (f"  ({steps_str})" if steps_str else "")
-        )
-        rows.append((chain.depth, str(value), terminal, steps_str))
-        if want_json:
-            steps = []
-            for step in chain.steps:
-                entry = step_json.get(id(step))
-                if entry is None:
-                    entry = step_json[id(step)] = {
-                        "factor": step.factor,
-                        "datum": datum_to_json(step.datum),
-                        "split": split_to_json(step.split),
-                    }
-                steps.append(entry)
-            payload["chains"].append(
-                {
-                    "depth": chain.depth,
-                    "iota": num_json(value),
-                    "terminal": terminal,
-                    "steps": steps,
-                }
+    rendered: dict[int, object] = {}
+
+    def render(step):
+        if id(step) not in rendered:
+            rendered[id(step)] = (
+                {"factor": step.factor, "datum": datum_to_json(step.datum),
+                 "split": split_to_json(step.split)}
+                if fmt == "json" else f"factor {step.factor}: {step.datum} [{step.split}]"
             )
-    lines.append("chain-sum expansion:")
-    _add_expansion(terms, want_json, payload, lines)
-    _emit(ns.format, payload, lines, rows)
-    return 0
+        return rendered[id(step)]
+
+    if fmt == "json":
+        return {
+            "shape": shape_to_json(shape),
+            "dominant": False,
+            "chains": (
+                {
+                    "depth": c.depth,
+                    "iota": num_json(chain_iota(c)),
+                    "terminal": str(c.terminal),
+                    "steps": [render(step) for step in c.steps],
+                }
+                for c in chains
+            ),
+            "expansion": _expansion(terms, fmt),
+        }
+    if fmt == "csv":
+        return chain(
+            [("depth", "iota", "terminal", "steps")],
+            (
+                (c.depth, str(chain_iota(c)), str(c.terminal), "; ".join(map(render, c.steps)))
+                for c in chains
+            ),
+        )
+
+    def lines():
+        yield f"refinement chains for {shape} on U({shape.N}):"
+        for c in chains:
+            steps = "; ".join(map(render, c.steps))
+            yield (
+                f"  depth {c.depth}  iota={chain_iota(c)!s:>6}  {c.terminal}"
+                + (f"  ({steps})" if steps else "")
+            )
+        yield "chain-sum expansion:"
+        yield from _expansion(terms, fmt)
+
+    return lines()
 
 
 def _parse_partition(text: str) -> tuple[int, ...]:
@@ -256,63 +275,57 @@ def _member_json(B: Bipartition, R: int, poly: PoincarePoly) -> dict:
     }
 
 
-def _cmd_packet(ns: argparse.Namespace) -> int:
+def _cmd_packet(ns: argparse.Namespace, fmt: str):
     from .cohomology import degree_R, enumerate_bipartitions, poincare_poly
 
     parts = _parse_partition(ns.P)
     members = enumerate_bipartitions(ns.a, ns.b, parts)
-    lines = [
-        f"packet of P={list(parts)} on U({ns.a},{ns.b}): {len(members)} members"
-    ]
-    rows: list[Sequence] = [("pairs", "R", "poincare", "reduced")]
-    want_json = ns.format == "json"
-    member_json = []
-    for B in members:
-        R, poly = degree_R(B), poincare_poly(B)
-        name, text = str(B), str(poly)
-        if want_json:
-            member_json.append(_member_json(B, R, poly))
-        lines.append(f"  {name}  R={R}  P(t) = {text}")
-        rows.append((name, R, text, B.is_reduced))
-    payload = {
-        "a": ns.a,
-        "b": ns.b,
-        "P": list(parts),
-        "size": len(members),
-        "members": member_json,
-    }
-    _emit(ns.format, payload, lines, rows)
-    return 0
+    for B in members:  # the degree guard refuses here, before the header
+        poincare_poly(B)
+    if fmt == "json":
+        return {
+            "a": ns.a,
+            "b": ns.b,
+            "P": list(parts),
+            "size": len(members),
+            "members": (_member_json(B, degree_R(B), poincare_poly(B)) for B in members),
+        }
+    if fmt == "csv":
+        return chain(
+            [("pairs", "R", "poincare", "reduced")],
+            ((str(B), degree_R(B), str(poincare_poly(B)), B.is_reduced) for B in members),
+        )
+    return chain(
+        [f"packet of P={list(parts)} on U({ns.a},{ns.b}): {len(members)} members"],
+        (f"  {B}  R={degree_R(B)}  P(t) = {poincare_poly(B)}" for B in members),
+    )
 
 
-def _cmd_poincare(ns: argparse.Namespace) -> int:
+def _cmd_poincare(ns: argparse.Namespace, fmt: str):
     from .cohomology import degree_R, poincare_poly
 
     B = _bipartition_arg(ns.bipartition)
     R, poly = degree_R(B), poincare_poly(B)
     palindromic = poly.is_palindromic()
-    payload = {
-        **_member_json(B, R, poly),
-        "a": B.a,
-        "b": B.b,
-        "degree": poly.degree,
-        "palindromic": palindromic,
-    }
-    lines = [
+    if fmt == "json":
+        return {
+            **_member_json(B, R, poly),
+            "a": B.a,
+            "b": B.b,
+            "degree": poly.degree,
+            "palindromic": palindromic,
+        }
+    if fmt == "csv":
+        return [("pairs", "R", "poincare", "palindromic"), (str(B), R, str(poly), palindromic)]
+    return [
         f"B = {B} on U({B.a},{B.b})",
         f"R = {R}",
         f"P(t) = {poly}",
         f"palindromic: {'yes' if palindromic else 'no'}",
     ]
-    rows = [
-        ("pairs", "R", "poincare", "palindromic"),
-        (str(B), R, str(poly), palindromic),
-    ]
-    _emit(ns.format, payload, lines, rows)
-    return 0
 
 
-def _cmd_decay(ns: argparse.Namespace) -> int:
+def _cmd_decay(ns: argparse.Namespace, fmt: str):
     from .cohomology import bipartition_to_json
     from .decay import p_bound_of_bipartition, ratio_profile
     from .params import num_json
@@ -321,84 +334,85 @@ def _cmd_decay(ns: argparse.Namespace) -> int:
     bound = p_bound_of_bipartition(B)
     mixed = next((x, y) for x, y in B.pairs if x >= 1 and y >= 1)
     profile = ratio_profile(B.N, sum(mixed), min(B.a, B.b), min(mixed))
-    payload = {
-        **bipartition_to_json(B),
-        "N": profile.N,
-        "N_k": profile.N_k,
-        "c": profile.c,
-        "c_k": profile.c_k,
-        "ratios": [num_json(r) for r in profile.ratios],
-        "p_bound": num_json(bound) if bound is not None else None,
-    }
-    lines = [
+    if fmt == "json":
+        return {
+            **bipartition_to_json(B),
+            "N": profile.N,
+            "N_k": profile.N_k,
+            "c": profile.c,
+            "c_k": profile.c_k,
+            "ratios": [num_json(r) for r in profile.ratios],
+            "p_bound": num_json(bound) if bound is not None else None,
+        }
+    if fmt == "csv":
+        return chain(
+            [("j", "ratio")],
+            ((j, str(r)) for j, r in enumerate(profile.ratios, 1)),
+            [("p_bound", str(bound) if bound is not None else "unbounded")],
+        )
+    ratios = ", ".join(f"j={j}: {r!s}" for j, r in enumerate(profile.ratios, 1))
+    return [
         f"B = {B}: N = {profile.N}, mixed pair size N_k = {profile.N_k}",
-        "ratios: "
-        + (
-            ", ".join(
-                f"j={j}: {r!s}" for j, r in enumerate(profile.ratios, 1)
-            )
-            if profile.ratios
-            else "(none)"
-        ),
+        f"ratios: {ratios or '(none)'}",
         f"p bound: {str(bound) if bound is not None else 'unbounded (N_k = N)'}",
     ]
-    rows: list[Sequence] = [("j", "ratio")]
-    rows.extend((j, str(r)) for j, r in enumerate(profile.ratios, 1))
-    rows.append(("p_bound", str(bound) if bound is not None else "unbounded"))
-    _emit(ns.format, payload, lines, rows)
-    return 0
 
 
-def _cmd_sx(ns: argparse.Namespace) -> int:
+def _cmd_sx(ns: argparse.Namespace, fmt: str):
     from .decay import sx_check
 
     result = sx_check(ns.N, ns.k)
-    payload = {
-        "N": ns.N,
-        "k": ns.k,
-        "theorem_exponent": result.theorem_exponent,
-        "sx_exponent": result.sx_exponent,
-        "holds": result.holds,
-    }
-    lines = [
+    if fmt == "json":
+        return {
+            "N": ns.N,
+            "k": ns.k,
+            "theorem_exponent": result.theorem_exponent,
+            "sx_exponent": result.sx_exponent,
+            "holds": result.holds,
+        }
+    if fmt == "csv":
+        return [
+            ("N", "k", "theorem_exponent", "sx_exponent", "holds"),
+            (ns.N, ns.k, result.theorem_exponent, result.sx_exponent, result.holds),
+        ]
+    return [
         f"N = {ns.N}, k = {ns.k}",
         f"proved exponent N(N-2k) = {result.theorem_exponent}",
         f"allowed exponent (N+1)(N-2k) = {result.sx_exponent}",
         f"holds: {'yes' if result.holds else 'no'}",
     ]
-    rows = [
-        ("N", "k", "theorem_exponent", "sx_exponent", "holds"),
-        (ns.N, ns.k, result.theorem_exponent, result.sx_exponent, result.holds),
-    ]
-    _emit(ns.format, payload, lines, rows)
-    return 0
 
 
-def _cmd_derive(ns: argparse.Namespace) -> int:
+def _cmd_derive(ns: argparse.Namespace, fmt: str):
     from .bounds import derive_exponent
 
     d = derive_exponent(ns.N, ns.a, ns.k)
-    fmt = "json" if ns.json else ns.format
-    lines = [f"exponent derivation for U({ns.a},{ns.N - ns.a}), N={ns.N}, k={ns.k}:"]
-    for step in d.steps:
-        lines.append(f"  [{step.name}] {step.claim}")
-        lines.append(f"      why: {step.justification}")
-    lines.append("per-chain exponents (terminal group -> exponent):")
-    for sym, exponent in d.chain_exponents:
-        lines.append(f"  {exponent:>4}  {sym}")
-    lines.append(f"final exponent: {d.final}")
-    lines.append(
-        "chain maximum at the dominant group: "
-        + ("yes" if d.max_matches_dominant else "NO (reported, see steps)")
-    )
-    rows: list[Sequence] = [("terminal", "exponent")]
-    rows.extend((str(sym), exponent) for sym, exponent in d.chain_exponents)
-    rows.append(("final", d.final))
-    _emit(fmt, d.to_json(), lines, rows)
-    return 0
+    if fmt == "json":
+        return d.to_json()
+    if fmt == "csv":
+        return chain(
+            [("terminal", "exponent")],
+            ((str(sym), exponent) for sym, exponent in d.chain_exponents),
+            [("final", d.final)],
+        )
+
+    def lines():
+        yield f"exponent derivation for U({ns.a},{ns.N - ns.a}), N={ns.N}, k={ns.k}:"
+        for step in d.steps:
+            yield f"  [{step.name}] {step.claim}"
+            yield f"      why: {step.justification}"
+        yield "per-chain exponents (terminal group -> exponent):"
+        for sym, exponent in d.chain_exponents:
+            yield f"  {exponent:>4}  {sym}"
+        yield f"final exponent: {d.final}"
+        yield "chain maximum at the dominant group: " + (
+            "yes" if d.max_matches_dominant else "NO (reported, see steps)"
+        )
+
+    return lines()
 
 
-def _cmd_dominance(ns: argparse.Namespace) -> int:
+def _cmd_dominance(ns: argparse.Namespace, fmt: str):
     from .bounds import dominance_check, random_packet
     from .endoscopy import _guarded_sign_group
     from .params import num_json, shape_to_json
@@ -410,79 +424,52 @@ def _cmd_dominance(ns: argparse.Namespace) -> int:
     group = _guarded_sign_group(shape)
     rng = random.Random(ns.seed)
     violations = 0
-    min_margin: Fraction | None = None
-    for _ in range(ns.trials):
+    for trial in range(ns.trials):
         result = dominance_check(shape, random_packet(rng, group))
         margin = result.c_psi * result.s_dominant - result.i_value
-        if min_margin is None or margin < min_margin:
-            min_margin = margin
-        if not result.holds:
-            violations += 1
-    payload = {
-        "shape": shape_to_json(shape),
-        "trials": ns.trials,
-        "seed": ns.seed,
-        "violations": violations,
-        "min_margin": num_json(min_margin) if min_margin is not None else None,
-        "holds": violations == 0,
-    }
-    lines = [
+        min_margin = margin if trial == 0 else min(min_margin, margin)
+        violations += not result.holds
+    code = 0 if violations == 0 else 1
+    if fmt == "json":
+        return {
+            "shape": shape_to_json(shape),
+            "trials": ns.trials,
+            "seed": ns.seed,
+            "violations": violations,
+            "min_margin": num_json(min_margin),
+            "holds": violations == 0,
+        }, code
+    if fmt == "csv":
+        return [
+            ("trials", "seed", "violations", "min_margin", "holds"),
+            (ns.trials, ns.seed, violations, str(min_margin), violations == 0),
+        ], code
+    return [
         f"dominance for {shape}: {ns.trials} random packets, seed {ns.seed}",
         f"violations: {violations}",
-        f"smallest margin C*S - I: {str(min_margin) if min_margin is not None else 'n/a'}",
+        f"smallest margin C*S - I: {min_margin}",
         f"holds: {'yes' if violations == 0 else 'no'}",
-    ]
-    rows = [
-        ("trials", "seed", "violations", "min_margin", "holds"),
-        (
-            ns.trials,
-            ns.seed,
-            violations,
-            str(min_margin) if min_margin is not None else "",
-            violations == 0,
-        ),
-    ]
-    _emit(ns.format, payload, lines, rows)
-    return 0 if violations == 0 else 1
+    ], code
 
 
-def _cmd_selftest(ns: argparse.Namespace) -> int:
+def _cmd_selftest(ns: argparse.Namespace, fmt: str):
     from .selftest import run_all
 
     results = run_all(ns.seed)
     passed = sum(1 for r in results if r.passed)
     failed = len(results) - passed
-    payload = {
-        "seed": ns.seed,
-        "checks": [
-            {
-                "name": r.name,
-                "passed": r.passed,
-                "detail": r.detail,
-                "elapsed_s": r.elapsed_s,
-            }
+    code = 0 if failed == 0 else 1
+    if fmt == "json":
+        checks = [
+            {"name": r.name, "passed": r.passed, "detail": r.detail, "elapsed_s": r.elapsed_s}
             for r in results
-        ],
-        "passed": passed,
-        "failed": failed,
-    }
-    lines = [
-        f"{'PASS' if r.passed else 'FAIL'}: {r.name} ({r.detail})" for r in results
-    ]
-    lines.append(f"{passed} passed, {failed} failed")
-    rows: list[Sequence] = [("name", "passed", "detail", "elapsed_s")]
-    rows.extend((r.name, r.passed, r.detail, r.elapsed_s) for r in results)
-    _emit(ns.format, payload, lines, rows)
-    return 0 if failed == 0 else 1
-
-
-def _add_format(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--format",
-        choices=("table", "json", "csv"),
-        default="table",
-        help="output format (default: table)",
-    )
+        ]
+        return {"seed": ns.seed, "checks": checks, "passed": passed, "failed": failed}, code
+    if fmt == "csv":
+        rows = [(r.name, r.passed, r.detail, r.elapsed_s) for r in results]
+        return [("name", "passed", "detail", "elapsed_s"), *rows], code
+    lines = [f"{'PASS' if r.passed else 'FAIL'}: {r.name} ({r.detail})" for r in results]
+    return [*lines, f"{passed} passed, {failed} failed"], code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -491,66 +478,56 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact calculator for endoscopic multiplicity bookkeeping.",
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
+    # every command takes --format, first, so that its default wins where
+    # derive's --json shares its dest
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("table", "json", "csv"), default="table",
+                     help="output format (default: table)")
 
-    p = sub.add_parser("endoscopy", help="elliptic endoscopic data and sign table")
+    def command(name, func, summary):
+        p = sub.add_parser(name, parents=[fmt], help=summary)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("endoscopy", _cmd_endoscopy, "elliptic endoscopic data and sign table")
     p.add_argument("--N", type=int, required=True, help="rank of the group")
     p.add_argument("--shape", help="shape JSON (inline or file) for the sign table")
-    _add_format(p)
-    p.set_defaults(func=_cmd_endoscopy)
 
-    p = sub.add_parser("chains", help="refinement chains and their expansion")
+    p = command("chains", _cmd_chains, "refinement chains and their expansion")
     p.add_argument("--shape", required=True, help="shape JSON (inline or file)")
     p.add_argument("--N", type=int, help="cross-check the shape's rank")
-    p.add_argument(
-        "--dominant",
-        action="store_true",
-        help="expand the distinguished central-sign term instead",
-    )
-    _add_format(p)
-    p.set_defaults(func=_cmd_chains)
+    p.add_argument("--dominant", action="store_true",
+                   help="expand the distinguished central-sign term instead")
 
-    p = sub.add_parser("packet", help="all members over an ordered partition")
+    p = command("packet", _cmd_packet, "all members over an ordered partition")
     p.add_argument("--a", type=int, required=True, help="first signature entry")
     p.add_argument("--b", type=int, required=True, help="second signature entry")
     p.add_argument("--P", required=True, help="comma list of parts, e.g. 2,1,1")
-    _add_format(p)
-    p.set_defaults(func=_cmd_packet)
 
-    p = sub.add_parser("poincare", help="cohomology polynomial of one member")
+    p = command("poincare", _cmd_poincare, "cohomology polynomial of one member")
     p.add_argument("--bipartition", required=True, help="JSON (inline or file)")
-    _add_format(p)
-    p.set_defaults(func=_cmd_poincare)
 
-    p = sub.add_parser("decay", help="matrix-coefficient decay profile")
+    p = command("decay", _cmd_decay, "matrix-coefficient decay profile")
     p.add_argument("--bipartition", required=True, help="JSON (inline or file)")
-    _add_format(p)
-    p.set_defaults(func=_cmd_decay)
 
-    p = sub.add_parser("sx", help="compare the proved exponent with the allowance")
+    p = command("sx", _cmd_sx, "compare the proved exponent with the allowance")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(func=_cmd_sx)
 
-    p = sub.add_parser("derive", help="step-by-step exponent derivation")
+    p = command("derive", _cmd_derive, "step-by-step exponent derivation")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--json", action="store_true", help="shorthand for --format json")
-    _add_format(p)
-    p.set_defaults(func=_cmd_derive)
+    p.add_argument("--json", action="store_const", const="json", dest="format",
+                   help="shorthand for --format json")
 
-    p = sub.add_parser("dominance", help="randomized dominance trials on a shape")
+    p = command("dominance", _cmd_dominance, "randomized dominance trials on a shape")
     p.add_argument("--shape", required=True, help="shape JSON (inline or file)")
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    _add_format(p)
-    p.set_defaults(func=_cmd_dominance)
 
-    p = sub.add_parser("selftest", help="run the acceptance checks")
+    p = command("selftest", _cmd_selftest, "run the acceptance checks")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    _add_format(p)
-    p.set_defaults(func=_cmd_selftest)
 
     return parser
 
@@ -567,7 +544,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         # a malformed ENDOSCOPYLAB_GUARD is a usage error on every command
         guard_limit(DEFAULT_CHAIN_GUARD)
-        code = ns.func(ns)
+        out = ns.func(ns, ns.format)
+        # dominance and selftest return their exit code with their output
+        out, code = out if isinstance(out, tuple) else (out, 0)
+        _emit(ns.format, out)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -242,13 +242,14 @@ def test_dominance_full_packet_ten_blocks():
 
 
 def test_dominance_check_guard_counts_the_table_first(monkeypatch):
-    # 8 members + min(8, 2*2*2 count tuples) * 3 blocks * min(8, 10 - 4 + 1) ranks
+    # 8 members + min(8, 2*2*2 count tuples) * 7 entries visited per subset
+    # sum: blocks of rank 3, 2 and 1 meet 1, min(2, 3 + 1) and min(4, 5 + 1)
     shape = from_cohomological((4, 3, 2, 1))
     packet = trivial_packet(shape)
-    monkeypatch.setenv("ENDOSCOPYLAB_GUARD", "175")
-    with pytest.raises(GuardError, match="176 summing steps"):
+    monkeypatch.setenv("ENDOSCOPYLAB_GUARD", "63")
+    with pytest.raises(GuardError, match="64 summing steps"):
         dominance_check(shape, packet)
-    monkeypatch.setenv("ENDOSCOPYLAB_GUARD", "176")
+    monkeypatch.setenv("ENDOSCOPYLAB_GUARD", "64")
     assert dominance_check(shape, packet).holds
     monkeypatch.delenv("ENDOSCOPYLAB_GUARD")
     # a one-member packet on a 2^23-element group: chi = epsilon gives m = 0
@@ -261,11 +262,71 @@ def test_dominance_check_guard_counts_the_table_first(monkeypatch):
 def test_i_disc_model_guard_reads_env(monkeypatch):
     shape = from_cohomological((4, 3, 2, 1))
     packet = trivial_packet(shape)
-    monkeypatch.setenv("ENDOSCOPYLAB_GUARD", "175")
-    with pytest.raises(GuardError, match="176 summing steps"):
+    monkeypatch.setenv("ENDOSCOPYLAB_GUARD", "63")
+    with pytest.raises(GuardError, match="64 summing steps"):
         i_disc_model(shape, packet)
-    monkeypatch.setenv("ENDOSCOPYLAB_GUARD", "176")
+    monkeypatch.setenv("ENDOSCOPYLAB_GUARD", "64")
     assert i_disc_model(shape, packet) == 1
+
+
+def visited_entries(classes):
+    """The entries _signed_sum's pass over the blocks visits, and the ranks it
+    ends with: its loop, replayed with every sign +1 (a sign changes no key)."""
+    poly, visited = {0: 1}, 0
+    for d, mask in classes.items():
+        for _ in range(mask.bit_count()):
+            visited += len(poly)
+            for n2, v in list(poly.items()):
+                poly[n2 + d] = poly.get(n2 + d, 0) + v
+    return visited, len(poly)
+
+
+@pytest.mark.parametrize(
+    "parts, counted, visited, ranks",
+    [
+        ((4, 3, 2, 1), 7, 7, 7),
+        ((2,) + (1,) * 13, 91, 91, 14),
+        (tuple(range(10, 0, -1)), 191, 172, 46),  # the old count took 9 * 46 = 414
+    ],
+)
+def test_the_step_count_bounds_the_entries_a_subset_sum_visits(parts, counted, visited, ranks):
+    classes, *count = bounds._rank_classes(from_cohomological(parts))
+    assert count == [counted, ranks]
+    assert visited_entries(classes) == (visited, ranks)
+
+
+def test_the_step_count_bounds_the_visits_on_random_shapes():
+    rng = random.Random(11)
+    for _ in range(200):
+        parts = [rng.choice((1, 1, 2, 3, 5, 8)) for _ in range(rng.randint(1, 12))]
+        classes, counted, ranks = bounds._rank_classes(from_cohomological(parts))
+        visited, reached = visited_entries(classes)
+        assert visited <= counted and reached <= ranks, parts
+        assert ranks <= min(2 ** (len(parts) - 1), sum(parts) - parts[0] + 1)
+
+
+def test_dominance_check_puts_the_traces_over_one_denominator_once(monkeypatch):
+    calls = []
+    honest = bounds._over_common_denominator
+
+    def counted(members):
+        calls.append(len(members))
+        return honest(members)
+
+    monkeypatch.setattr(bounds, "_over_common_denominator", counted)
+    shape = from_cohomological((2, 1, 1, 1))
+    group = centralizer_group(shape)
+    rng = random.Random(5)
+    for trial in range(1, 21):
+        packet = random_packet(rng, group)
+        expected = brute_i_disc(shape, packet, brute_coefficients(shape))
+        calls.clear()
+        result = dominance_check(shape, packet)
+        assert calls == [len(packet.members)], trial
+        assert result.i_value == expected
+        assert result.s_dominant == stable_coefficient(shape, s_psi(shape)) * sum(
+            (t for _, t in packet.members), Fraction(0)
+        )
 
 
 def test_i_disc_model_evaluates_each_minus_rank_once(monkeypatch):

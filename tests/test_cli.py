@@ -9,6 +9,7 @@ import re
 import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -293,6 +294,15 @@ def test_derive_json(capsys):
     assert data["chain_exponents"][0]["terminal"] == "U(4)xU(1)"
 
 
+def test_derive_json_is_a_later_wins_shorthand(capsys):
+    argv = ("derive", "--N", "5", "--a", "1", "--k", "2")
+    _, csv_out, _ = run(capsys, *argv, "--format", "csv")
+    _, json_out, _ = run(capsys, *argv, "--json")
+    assert run(capsys, *argv, "--json", "--format", "csv") == (0, csv_out, "")
+    assert run(capsys, *argv, "--format", "csv", "--json") == (0, json_out, "")
+    assert json.loads(json_out)["final"] == 5
+
+
 def test_derive_table_names_final(capsys):
     code, out, _ = run(capsys, "derive", "--N", "7", "--a", "3", "--k", "2")
     assert code == 0
@@ -415,6 +425,82 @@ def test_closed_stdout_exits_quietly():
     assert err == b""
 
 
+def test_reader_closing_the_pipe_after_one_line_exits_quietly():
+    # the 11440 members of 1^16 at a = 7 take about 1.2 MB, far more than a
+    # pipe holds, so the command is still writing when the reader goes
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "endoscopylab.cli", "packet", "--a", "7", "--b", "9",
+         "--P", ",".join(["1"] * 16)],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    finally:
+        proc.stderr.close()
+    assert first == b"packet of P=[" + b", ".join([b"1"] * 16) + b"] on U(7,9): 11440 members\n"
+    assert (code, err) == (0, b"")
+
+
+def traced_peak_over_member_list(a, b, parts, fmt):
+    """The peak memory traced while main writes a packet to a discarding sink,
+    over the traced size of the packet's member list."""
+    from endoscopylab.cohomology import enumerate_bipartitions
+
+    argv = ["packet", f"--a={a}", f"--b={b}", f"--P={','.join(map(str, parts))}", "--format", fmt]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        members = enumerate_bipartitions(a, b, parts)
+        listed = tracemalloc.get_traced_memory()[0] - before
+        del members
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    return peak / listed
+
+
+@pytest.mark.parametrize(
+    "parts, fmt, bound",
+    [((1,) * 400, "table", 1.6), ((1,) * 400, "csv", 1.6), ((1,) * 150, "json", 2)],
+    ids=["table", "csv", "json"],
+)
+def test_packet_output_streams(parts, fmt, bound):
+    # a command that held its whole output would peak at more than twice the
+    # member list (each member's text is longer than its pairs), and json at
+    # dozens of times it
+    assert traced_peak_over_member_list(1, len(parts) - 1, parts, fmt) <= bound
+
+
+@pytest.mark.parametrize(
+    "payload, streamed",
+    [
+        ({"members": []}, {"members"}),
+        ({"size": 3, "members": [1, "two", None, True, 2.5], "after": []}, {"members"}),
+        ({"a": {"b": {"c": [1, {"d": []}], "e": {}}}, "rows": [{"x": [1, 2]}, {}, []]}, {"rows"}),
+        ({"λ": "U(2)×U(1) — ε", "items": ["é", {"ü": ["ß"]}]}, {"items"}),
+        ({}, set()),
+    ],
+    ids=["empty streamed list", "scalars", "nested dicts", "non-ascii", "schema only"],
+)
+def test_json_writer_matches_json_dumps(payload, streamed):
+    # the writer takes the streamed lists as iterators, json.dumps as lists
+    expected = json.dumps({"schema_version": 1, **payload}, indent=2) + "\n"
+    lazy = {key: iter(v) if key in streamed else v for key, v in payload.items()}
+    assert "".join(cli._json_chunks(lazy)) == expected
+
+
 def test_derive_guard_exit_code(capsys):
     code, out, err = run(capsys, "derive", "--N", "3000", "--a", "1", "--k", "1")
     assert code == 1
@@ -498,6 +584,17 @@ def test_dominance_runs_clean(capsys):
     assert code == 0
     assert "violations: 0" in out
     assert "holds: yes" in out
+
+
+def test_dominance_runs_on_ten_blocks_of_distinct_ranks(capsys):
+    # every packet on (10,9,...,1) counts at most 512 members + 512 count
+    # tuples * 191 entries visited per subset sum = 98304 steps
+    shape = json.dumps(
+        {"summands": [{"label": f"c{i}", "n": 1, "m": 11 - i} for i in range(1, 11)]}
+    )
+    code, out, err = run(capsys, "dominance", "--shape", shape, "--trials", "20", "--seed", "3")
+    assert (code, err) == (0, "")
+    assert out.endswith("violations: 0\nsmallest margin C*S - I: 67247/1260\nholds: yes\n")
 
 
 def test_dominance_rejects_nonpositive_trials(capsys):
@@ -591,8 +688,8 @@ def test_sign_table_guard_exit_code(capsys, argv):
     [
         (("endoscopy", "--N", "10", "--shape", BLOCKS_4), 8),
         # past the 8-entry sign table, the trace of a packet counts at most
-        # 8 members + 8 count tuples * 3 blocks * 8 minus ranks = 200 steps
-        (("dominance", "--shape", BLOCKS_4, "--trials", "3"), 200),
+        # 8 members + 8 count tuples * 7 entries visited per subset sum = 64 steps
+        (("dominance", "--shape", BLOCKS_4, "--trials", "3"), 64),
     ],
     ids=["endoscopy", "dominance"],
 )

@@ -167,6 +167,47 @@ def test_every_poincare_polynomial_is_built_by_its_constructor():
                    "object.__new__(P)\n", "__new__") == ["f", None]
 
 
+def top_level_users(source: str, match) -> set[str | None]:
+    """The top-level functions that hold a node match accepts, nested
+    functions included; None for a node outside every function."""
+    return {
+        getattr(stmt, "name", None)
+        for stmt in ast.parse(source).body
+        if any(match(node) for node in ast.walk(stmt))
+    }
+
+
+def is_print(node) -> bool:
+    return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print"
+
+
+def reads(name: str, attr: str):
+    return lambda node: (
+        isinstance(node, ast.Attribute)
+        and node.attr == attr
+        and getattr(node.value, "id", None) == name
+    )
+
+
+def test_only_emit_writes_the_output():
+    # each command returns its output in the one format main passes it, and
+    # _emit alone writes it; main only flushes stdout and prints errors
+    source = (PACKAGE / "cli.py").read_text()
+    writes = lambda node: isinstance(node, ast.Attribute) and node.attr.startswith("write")
+    assert top_level_users(source, writes) == {"_emit"}
+    assert top_level_users(source, reads("sys", "stdout")) == {"_emit", "main"}
+    assert top_level_users(source, reads("ns", "format")) == {"main"}
+    assert top_level_users(source, is_print) == {"main"}
+    for node in ast.walk(ast.parse(source)):
+        if is_print(node):
+            assert [ast.unparse(k) for k in node.keywords] == ["file=sys.stderr"]
+    nested = (
+        "def _cmd_x(ns, fmt):\n    def lines():\n        print(ns.format)\n    return lines()\n"
+    )
+    assert top_level_users(nested, is_print) == top_level_users(nested, reads("ns", "format"))
+    assert top_level_users(nested, is_print) == {"_cmd_x"}
+
+
 def test_the_poincare_memo_is_filled_only_by_the_kernel():
     # the memo key is built in one place: poincare_poly sorts the mixed pairs
     memo = {path.stem: callers(path.read_text(), "_poincare_of") for path in MODULES}
