@@ -19,12 +19,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
-from .cohomology import lowest_degree
 from .endoscopy import EndoscopicDatum, dominant_group, iota
-from .guards import DEFAULT_CHAIN_GUARD, guard_limit, refuse_above
-from .hyperendoscopy import GroupSymbol
+from .guards import DEFAULT_CHAIN_GUARD, _Frozen, guard_limit, refuse_above
 from .params import (
     ArthurShape,
     BlockSignVector,
@@ -36,6 +34,9 @@ from .params import (
     num_json,
     s_psi,
 )
+
+if TYPE_CHECKING:
+    from .hyperendoscopy import GroupSymbol
 
 __all__ = [
     "PacketModel",
@@ -52,27 +53,27 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PacketModel:
+class PacketModel(_Frozen):
     """Abstract packet: members (character, nonnegative trace) plus a sign
     character epsilon, all on a sign group of the given rank."""
 
-    rank: int
-    members: tuple[tuple[GroupChar, Fraction | int], ...]
-    epsilon: GroupChar
+    __slots__ = ("rank", "members", "epsilon")
 
-    def __post_init__(self) -> None:
-        if self.epsilon.rank != self.rank:
+    def __init__(self, rank: int, members: Iterable[tuple[GroupChar, Fraction | int]],
+                 epsilon: GroupChar) -> None:
+        if epsilon.rank != rank:
             raise ValueError("epsilon character has mismatched group rank")
-        members = tuple(self.members)
+        members = tuple(members)
         for chi, trace in members:
             if not _is_exact_number(trace):
                 raise ValueError(f"traces must be int or Fraction, got {trace!r}")
-            if chi.rank != self.rank:
+            if chi.rank != rank:
                 raise ValueError("member character has mismatched group rank")
             if trace.numerator < 0:  # a Fraction compare costs about 5x more
                 raise ValueError(f"negative trace {trace} in packet")
+        object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "members", members)
+        object.__setattr__(self, "epsilon", epsilon)
 
     @property
     def trace_total(self) -> Fraction:
@@ -243,17 +244,20 @@ def dominance_check(shape: ArthurShape, packet: PacketModel) -> DominanceResult:
     return DominanceResult(i_value, s_dominant, c_psi, i_value <= c_psi * s_dominant)
 
 
-@dataclass(frozen=True)
-class DerivationStep:
-    name: str
-    claim: str
-    justification: str
-    value: Fraction | int
+class DerivationStep(_Frozen):
+    __slots__ = ("name", "claim", "justification", "value")
+
+    def __init__(self, name: str, claim: str, justification: str, value: Fraction | int) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "claim", claim)
+        object.__setattr__(self, "justification", justification)
+        object.__setattr__(self, "value", value)
 
 
 @dataclass(frozen=True)
 class Derivation:
-    """Step-by-step exponent derivation; every value is recomputed."""
+    """Step-by-step exponent derivation; every value is recomputed.  (A
+    dataclass: the bench tests build wrong ones with ``dataclasses.replace``.)"""
 
     N: int
     a: int
@@ -336,6 +340,9 @@ def derive_exponent(N: int, a: int, k: int) -> Derivation:
     The table has one row per partition of N - 2k; above the chain cap the
     derivation raises :class:`GuardError` before building anything.
     """
+    # imported here, so that dominance loads neither module
+    from .cohomology import lowest_degree
+    from .hyperendoscopy import GroupSymbol
     if not 1 <= k <= N // 2:
         raise ValueError(f"need 1 <= k <= {N // 2}, got k={k}")
     if not 0 <= a <= N // 2:

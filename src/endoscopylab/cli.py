@@ -80,10 +80,14 @@ def _expansion(terms, fmt: str):
             yield f"  {coeff!s:>8}  I^{{{label}}}"
 
 
+class _JsonItem(str):
+    """The JSON text of a streamed list item, rendered at the item's depth."""
+
+
 def _json_chunks(payload: dict):
     """The text of json.dumps({"schema_version": 1, **payload}, indent=2) and a
     newline, in pieces: a value that is an iterator is written as a list, one
-    item at a time."""
+    item at a time, and an item that is a _JsonItem as it is."""
     sep = "{"
     for key, value in {"schema_version": SCHEMA_VERSION, **payload}.items():
         yield f"{sep}\n  {json.dumps(key)}: "
@@ -91,7 +95,9 @@ def _json_chunks(payload: dict):
         if isinstance(value, Iterator):
             head = "["
             for item in value:
-                yield f"{head}\n    " + json.dumps(item, indent=2).replace("\n", "\n    ")
+                if not isinstance(item, _JsonItem):
+                    item = json.dumps(item, indent=2).replace("\n", "\n    ")
+                yield f"{head}\n    {item}"
                 head = ","
             yield "[]" if head == "[" else "\n  ]"
         else:
@@ -204,31 +210,32 @@ def _cmd_chains(ns: argparse.Namespace, fmt: str):
     chains = enumerate_chains(shape=shape)
     terms = chain_expansion(shape=shape).items()
     # the chains share their ChainStep objects, and the list keeps them alive,
-    # so each distinct step is rendered once, keyed by its id
-    rendered: dict[int, object] = {}
+    # so each distinct step is rendered once, keyed by its id; in json at the
+    # depth of a step in a chain item
+    rendered: dict[int, str] = {}
 
     def render(step):
         if id(step) not in rendered:
-            rendered[id(step)] = (
-                {"factor": step.factor, "datum": datum_to_json(step.datum),
-                 "split": split_to_json(step.split)}
-                if fmt == "json" else f"factor {step.factor}: {step.datum} [{step.split}]"
-            )
+            if fmt == "json":
+                text = json.dumps({"factor": step.factor, "datum": datum_to_json(step.datum),
+                                   "split": split_to_json(step.split)}, indent=2)
+                rendered[id(step)] = text.replace("\n", "\n        ")
+            else:
+                rendered[id(step)] = f"factor {step.factor}: {step.datum} [{step.split}]"
         return rendered[id(step)]
+
+    def chain_json(c) -> _JsonItem:
+        head = {"depth": c.depth, "iota": num_json(chain_iota(c)), "terminal": str(c.terminal)}
+        fields = [f'"{key}": {json.dumps(value)}' for key, value in head.items()]
+        steps = ",\n        ".join(map(render, c.steps))
+        fields.append(f'"steps": [\n        {steps}\n      ]' if steps else '"steps": []')
+        return _JsonItem("{\n      " + ",\n      ".join(fields) + "\n    }")
 
     if fmt == "json":
         return {
             "shape": shape_to_json(shape),
             "dominant": False,
-            "chains": (
-                {
-                    "depth": c.depth,
-                    "iota": num_json(chain_iota(c)),
-                    "terminal": str(c.terminal),
-                    "steps": [render(step) for step in c.steps],
-                }
-                for c in chains
-            ),
+            "chains": map(chain_json, chains),
             "expansion": _expansion(terms, fmt),
         }
     if fmt == "csv":

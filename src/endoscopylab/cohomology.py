@@ -41,12 +41,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate, chain
 from typing import Iterable, Sequence
 
-from .guards import DEFAULT_BRUTE_GUARD, refuse_above
+from .guards import DEFAULT_BRUTE_GUARD, _Frozen, refuse_above
 
 __all__ = [
     "Bipartition",
@@ -67,21 +66,17 @@ def _exact_ints(values: Iterable) -> bool:
     return {int}.issuperset(map(type, values))
 
 
-@dataclass(frozen=True)
-class Bipartition:
+class Bipartition(_Frozen):
     """Ordered pairs (a_i, b_i), none equal to (0, 0).
 
     ``_key`` is the Poincare memo key (R, sorted mixed pairs), a function of
     the pairs; only ``pairs`` is compared, hashed or printed.
     """
 
-    pairs: tuple[tuple[int, int], ...]
-    _key: tuple[int, tuple[tuple[int, int], ...]] = field(
-        init=False, repr=False, compare=False
-    )
+    __slots__ = ("pairs", "_key")
 
-    def __post_init__(self) -> None:
-        pairs = tuple((x, y) for x, y in self.pairs)
+    def __init__(self, pairs: Iterable[tuple[int, int]]) -> None:
+        pairs = tuple((x, y) for x, y in pairs)
         object.__setattr__(self, "pairs", pairs)
         if not pairs:
             raise ValueError("a bipartition needs at least one pair")
@@ -137,14 +132,13 @@ class Bipartition:
         return "".join(f"({x},{y})" for x, y in self.pairs)
 
 
-@dataclass(frozen=True)
-class PoincarePoly:
+class PoincarePoly(_Frozen):
     """Polynomial with integer coefficients; index = degree in t."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        coeffs = tuple(self.coeffs)
+    def __init__(self, coeffs: Iterable[int]) -> None:
+        coeffs = tuple(coeffs)
         if not _exact_ints(coeffs):
             raise ValueError(f"coefficients must be integers, got {coeffs!r}")
         n = len(coeffs)

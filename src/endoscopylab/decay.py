@@ -8,11 +8,10 @@ integrability bound p <= 2(N - 1)/(N - N_k).  Everything is exact rational.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
-from .guards import refuse_above
+from .guards import _Frozen, refuse_above
 
 if TYPE_CHECKING:
     from .cohomology import Bipartition
@@ -20,16 +19,15 @@ if TYPE_CHECKING:
 __all__ = ["DecayProfile", "SxResult", "ratio_profile", "p_bound_of_bipartition", "sx_check"]
 
 
-@dataclass(frozen=True)
-class DecayProfile:
+class DecayProfile(_Frozen):
     """Exact decay data; ``p_bound`` is None when no finite bound exists."""
 
-    N: int
-    N_k: int
-    c: int
-    c_k: int
-    ratios: tuple[Fraction, ...]
-    p_bound: Fraction | None
+    __slots__ = ("N", "N_k", "c", "c_k", "ratios", "p_bound")
+
+    def __init__(self, N: int, N_k: int, c: int, c_k: int,
+                 ratios: tuple[Fraction, ...], p_bound: Fraction | None) -> None:
+        for name, value in zip(self._fields, (N, N_k, c, c_k, ratios, p_bound)):
+            object.__setattr__(self, name, value)
 
 
 def ratio_profile(N: int, N_k: int, c: int, c_k: int) -> DecayProfile:

@@ -13,11 +13,10 @@ groups glue to a global inner form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .guards import refuse_above
+from .guards import _Frozen, refuse_above
 from .params import (
     ArthurShape,
     BlockSignVector,
@@ -45,18 +44,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class EndoscopicDatum:
+class EndoscopicDatum(_Frozen):
     """Unordered pair {n1, n2} with n1 >= n2, standing for U(n1) x U(n2)."""
 
-    n1: int
-    n2: int
+    __slots__ = ("n1", "n2")
 
-    def __post_init__(self) -> None:
-        if self.n2 < 0 or self.n1 < self.n2:
-            raise ValueError(f"need n1 >= n2 >= 0, got ({self.n1}, {self.n2})")
-        if self.n1 + self.n2 < 1:
+    def __init__(self, n1: int, n2: int) -> None:
+        if n2 < 0 or n1 < n2:
+            raise ValueError(f"need n1 >= n2 >= 0, got ({n1}, {n2})")
+        if n1 + n2 < 1:
             raise ValueError("total rank must be positive")
+        object.__setattr__(self, "n1", n1)
+        object.__setattr__(self, "n2", n2)
 
     @property
     def N(self) -> int:
@@ -105,8 +104,7 @@ def _rank(part: Sequence[Summand]) -> int:
     return sum(s.block_dim for s in part)
 
 
-@dataclass(frozen=True)
-class ParameterSplit:
+class ParameterSplit(_Frozen):
     """Two-way split of a shape's blocks; larger-rank part first.
 
     ``part2`` may be empty (the trivial split belonging to the improper
@@ -115,19 +113,19 @@ class ParameterSplit:
     enforces that convention.
     """
 
-    part1: tuple[Summand, ...]
-    part2: tuple[Summand, ...]
+    __slots__ = ("part1", "part2")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "part1", tuple(self.part1))
-        object.__setattr__(self, "part2", tuple(self.part2))
-        if not self.part1:
+    def __init__(self, part1: Iterable[Summand], part2: Iterable[Summand]) -> None:
+        part1, part2 = tuple(part1), tuple(part2)
+        if not part1:
             raise ValueError("first part of a split may not be empty")
-        if _rank(self.part1) < _rank(self.part2):
+        if _rank(part1) < _rank(part2):
             raise ValueError("parts out of order: part1 must carry rank n1 >= n2")
-        keys = [s.key for s in self.part1 + self.part2]
+        keys = [s.key for s in part1 + part2]
         if len(set(keys)) != len(keys):
             raise ValueError("split parts share a block")
+        object.__setattr__(self, "part1", part1)
+        object.__setattr__(self, "part2", part2)
 
     @property
     def n1(self) -> int:
@@ -257,8 +255,7 @@ def kottwitz_sign_padic(rank_drop: int) -> int:
     return -1 if rank_drop % 2 else 1
 
 
-@dataclass(frozen=True)
-class InnerFormSpec:
+class InnerFormSpec(_Frozen):
     """Local data of a would-be global inner form.
 
     ``signatures`` lists (p_v, q_v) at the archimedean places;
@@ -266,17 +263,17 @@ class InnerFormSpec:
     invariant, meaningful only in even total rank.
     """
 
-    signatures: tuple[tuple[int, int], ...]
-    finite_flips: frozenset[str] = frozenset()
+    __slots__ = ("signatures", "finite_flips")
 
-    def __post_init__(self) -> None:
-        signatures = tuple((p, q) for p, q in self.signatures)
+    def __init__(self, signatures: Iterable[tuple[int, int]],
+                 finite_flips: Iterable[str] = frozenset()) -> None:
+        signatures = tuple((p, q) for p, q in signatures)
         if any(type(x) is not int for pair in signatures for x in pair):
             raise ValueError(f"signature entries must be integers, got {signatures!r}")
-        if isinstance(self.finite_flips, str):
-            raise ValueError(f"finite_flips must name places, got {self.finite_flips!r}")
+        if isinstance(finite_flips, str):
+            raise ValueError(f"finite_flips must name places, got {finite_flips!r}")
         object.__setattr__(self, "signatures", signatures)
-        object.__setattr__(self, "finite_flips", frozenset(self.finite_flips))
+        object.__setattr__(self, "finite_flips", frozenset(finite_flips))
 
 
 def _validate_spec(spec: InnerFormSpec, N: int) -> None:

@@ -50,7 +50,6 @@ over one power of 4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -66,7 +65,7 @@ from .endoscopy import (
     _subset_ranks,
     iota,
 )
-from .guards import refuse_above
+from .guards import _Frozen, refuse_above
 from .params import ArthurShape, Summand, _is_exact_number, is_elliptic, s_psi
 from . import endoscopy
 
@@ -85,14 +84,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class GroupSymbol:
+class GroupSymbol(_Frozen):
     """Multiset of ranks [k_1, ..., k_t] standing for U(k_1) x ... x U(k_t)."""
 
-    ranks: tuple[int, ...]
+    __slots__ = ("ranks",)
 
-    def __post_init__(self) -> None:
-        ranks = tuple(sorted(self.ranks, reverse=True))
+    def __init__(self, ranks: Iterable[int]) -> None:
+        ranks = tuple(sorted(ranks, reverse=True))
         if not ranks:
             raise ValueError("a group symbol needs at least one factor")
         if any(k < 1 for k in ranks):
@@ -120,21 +118,25 @@ class GroupSymbol:
         return "x".join(out)
 
 
-@dataclass(frozen=True)
-class ChainStep:
+class ChainStep(_Frozen):
     """Refine the factor at ``factor`` (index into the current factor list)."""
 
-    factor: int
-    datum: EndoscopicDatum
-    split: ParameterSplit
+    __slots__ = ("factor", "datum", "split")
+
+    def __init__(self, factor: int, datum: EndoscopicDatum, split: ParameterSplit) -> None:
+        object.__setattr__(self, "factor", factor)
+        object.__setattr__(self, "datum", datum)
+        object.__setattr__(self, "split", split)
 
 
-@dataclass(frozen=True)
-class HyperChain:
+class HyperChain(_Frozen):
     """A refinement chain with its per-step block splits."""
 
-    assignment: tuple[ArthurShape, ...]
-    steps: tuple[ChainStep, ...]
+    __slots__ = ("assignment", "steps")
+
+    def __init__(self, assignment: tuple[ArthurShape, ...], steps: tuple[ChainStep, ...]) -> None:
+        object.__setattr__(self, "assignment", assignment)
+        object.__setattr__(self, "steps", steps)
 
     @property
     def depth(self) -> int:

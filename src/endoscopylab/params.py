@@ -12,9 +12,10 @@ elements as sign vectors, characters as parity functionals on bit masks.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+from .guards import _Frozen
 
 __all__ = [
     "Summand",
@@ -37,26 +38,28 @@ def _is_exact_number(value) -> bool:
     return type(value) is int or isinstance(value, Fraction)
 
 
-@dataclass(frozen=True, order=True)
-class Summand:
+class Summand(_Frozen):
     """One block ``label (x) nu(m)`` of rank ``n * m``."""
 
-    label: str
-    n: int
-    m: int
-    self_dual: bool = True
+    # shapes hash and sort their blocks often, so the field tuple is kept
+    __slots__ = ("label", "n", "m", "self_dual", "_values")
 
-    def __post_init__(self) -> None:
-        if type(self.label) is not str:
-            raise ValueError(f"label must be a string, got {self.label!r}")
-        if type(self.self_dual) is not bool:
-            raise ValueError(f"self_dual must be a boolean, got {self.self_dual!r}")
-        if type(self.n) is not int or type(self.m) is not int:
-            raise ValueError(f"n and m must be integers, got n={self.n!r}, m={self.m!r}")
-        if self.n < 1:
-            raise ValueError(f"block rank must be positive, got n={self.n}")
-        if self.m < 1:
-            raise ValueError(f"SL(2) dimension must be positive, got m={self.m}")
+    def __init__(self, label: str, n: int, m: int, self_dual: bool = True) -> None:
+        if type(label) is not str:
+            raise ValueError(f"label must be a string, got {label!r}")
+        if type(self_dual) is not bool:
+            raise ValueError(f"self_dual must be a boolean, got {self_dual!r}")
+        if type(n) is not int or type(m) is not int:
+            raise ValueError(f"n and m must be integers, got n={n!r}, m={m!r}")
+        if n < 1:
+            raise ValueError(f"block rank must be positive, got n={n}")
+        if m < 1:
+            raise ValueError(f"SL(2) dimension must be positive, got m={m}")
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "self_dual", self_dual)
+        object.__setattr__(self, "_values", (label, n, m, self_dual))
 
     @property
     def block_dim(self) -> int:
@@ -72,16 +75,16 @@ class Summand:
         return f"{core}*nu({self.m})"
 
 
-@dataclass(frozen=True)
-class ArthurShape:
+class ArthurShape(_Frozen):
     """Formal sum of blocks; the restriction of a parameter to its SL(2) shape."""
 
-    summands: tuple[Summand, ...]
+    __slots__ = ("summands",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "summands", tuple(self.summands))
-        if not self.summands:
+    def __init__(self, summands: Iterable[Summand]) -> None:
+        summands = tuple(summands)
+        if not summands:
             raise ValueError("a shape needs at least one summand")
+        object.__setattr__(self, "summands", summands)
 
     @property
     def N(self) -> int:
@@ -110,18 +113,17 @@ def _require_elliptic(shape: ArthurShape) -> None:
         raise ValueError(f"shape is not elliptic: {shape}")
 
 
-@dataclass(frozen=True)
-class BlockSignVector:
+class BlockSignVector(_Frozen):
     """Per-block signs modulo global negation.
 
     The canonical representative leads with +1, so two vectors are equal
     exactly when they agree componentwise or are componentwise opposite.
     """
 
-    signs: tuple[int, ...]
+    __slots__ = ("signs",)
 
-    def __post_init__(self) -> None:
-        signs = tuple(self.signs)
+    def __init__(self, signs: Iterable[int]) -> None:
+        signs = tuple(signs)
         if not signs:
             raise ValueError("empty sign vector")
         if any(x not in (1, -1) for x in signs):
@@ -145,8 +147,7 @@ class BlockSignVector:
         return "".join("+" if x == 1 else "-" for x in self.signs)
 
 
-@dataclass(frozen=True)
-class TwoGroup:
+class TwoGroup(_Frozen):
     """Elementary abelian 2-group of the given rank.
 
     Elements are integers 0 .. 2**rank - 1 composed by XOR.  For the
@@ -154,11 +155,12 @@ class TwoGroup:
     element toggles the sign of block i + 1 relative to block 0.
     """
 
-    rank: int
+    __slots__ = ("rank",)
 
-    def __post_init__(self) -> None:
-        if self.rank < 0:
-            raise ValueError(f"rank must be nonnegative, got {self.rank}")
+    def __init__(self, rank: int) -> None:
+        if rank < 0:
+            raise ValueError(f"rank must be nonnegative, got {rank}")
+        object.__setattr__(self, "rank", rank)
 
     @property
     def order(self) -> int:
@@ -190,16 +192,16 @@ class TwoGroup:
         return [GroupChar(self.rank, mask) for mask in self.elements]
 
 
-@dataclass(frozen=True)
-class GroupChar:
+class GroupChar(_Frozen):
     """Character s -> (-1)^<mask, s> of a TwoGroup of the given rank."""
 
-    rank: int
-    mask: int
+    __slots__ = ("rank", "mask")
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.mask < 1 << self.rank:
-            raise ValueError(f"mask {self.mask} outside group of rank {self.rank}")
+    def __init__(self, rank: int, mask: int) -> None:
+        if not 0 <= mask < 1 << rank:
+            raise ValueError(f"mask {mask} outside group of rank {rank}")
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "mask", mask)
 
     def __call__(self, element: int) -> int:
         if not 0 <= element < 1 << self.rank:

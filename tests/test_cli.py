@@ -353,6 +353,32 @@ def test_chains_json(capsys):
     assert coeffs == {"U(2)": 1, "U(1)^2": "-1/4"}
 
 
+@pytest.mark.parametrize("parts", [(1,), (2, 1), (3, 2, 1, 1), (2, 2, 1, 1, 1)])
+def test_chains_json_is_json_dumps_of_the_chains(capsys, parts):
+    # each chain item is put together from the once-rendered text of its steps
+    from endoscopylab.endoscopy import datum_to_json, split_to_json
+    from endoscopylab.hyperendoscopy import chain_iota, enumerate_chains
+    from endoscopylab.params import from_cohomological, num_json, shape_to_json
+
+    shape = from_cohomological(parts)
+    text = json.dumps(shape_to_json(shape)).replace('"c1"', '"c\\u00e9\\""')
+    code, out, _ = run(capsys, "chains", "--shape", text, "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert out == json.dumps(data, indent=2) + "\n"
+    steps = lambda c: [
+        {"factor": s.factor, "datum": datum_to_json(s.datum), "split": split_to_json(s.split)}
+        for s in c.steps
+    ]
+    chains = enumerate_chains(shape=cli._shape_arg(text))
+    assert data["chains"] == [
+        {"depth": c.depth, "iota": num_json(chain_iota(c)), "terminal": str(c.terminal),
+         "steps": steps(c)}
+        for c in chains
+    ]
+    assert '"label": "c\\u00e9\\""' in out
+
+
 def test_chains_dominant(capsys):
     code, out, _ = run(capsys, "chains", "--shape", SHAPE_21, "--dominant")
     assert code == 0

@@ -306,8 +306,8 @@ SHAPE = json.dumps(
         pytest.param(["chains", "--shape", SHAPE], {"cohomology", "bounds"}, id="chains"),
         pytest.param(["chains", "--shape", SHAPE, "--dominant"], {"cohomology", "bounds"},
                      id="chains --dominant"),
-        pytest.param(["dominance", "--shape", SHAPE, "--trials", "3"], {"decay"},
-                     id="dominance"),
+        pytest.param(["dominance", "--shape", SHAPE, "--trials", "3"],
+                     {"decay", "cohomology", "hyperendoscopy"}, id="dominance"),
     ],
 )
 def test_command_loads_only_the_modules_it_uses(argv, unused):
@@ -317,6 +317,56 @@ def test_command_loads_only_the_modules_it_uses(argv, unused):
     assert "cli" in loaded
     unused = unused | {"selftest"}  # no listed command needs it
     assert loaded.isdisjoint(unused), sorted(loaded & unused)
+
+
+def imports_of(source: str) -> set[str]:
+    """The top-level names of every module that source imports, anywhere."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_only_bounds_and_selftest_import_dataclasses():
+    # the value classes share guards._Frozen; Derivation and CheckResult stay
+    # dataclasses, and only derive, dominance and selftest load those modules
+    users = {path.stem for path in MODULES if "dataclasses" in imports_of(path.read_text())}
+    assert users == {"bounds", "selftest"}
+    assert imports_of("def f():\n    from dataclasses import replace\nimport os.path\n") == {
+        "dataclasses", "os"
+    }
+
+
+NEW_MODULES = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+from endoscopylab import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(json.loads(sys.argv[1]))
+print(json.dumps([code, sorted(set(sys.modules) - before)]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sx", "--N", "7", "--k", "2"],
+        ["endoscopy", "--N", "6", "--shape", SHAPE],
+        ["packet", "--a", "3", "--b", "3", "--P", "3,2,1"],
+        ["chains", "--shape", SHAPE],
+        ["chains", "--shape", SHAPE, "--dominant"],
+    ],
+    ids=["sx", "endoscopy --shape", "packet", "chains", "chains --dominant"],
+)
+def test_command_loads_no_dataclasses(argv):
+    # importing dataclasses costs each process several milliseconds
+    code, new = json.loads(run_fresh(NEW_MODULES, json.dumps(argv)))
+    assert code == 0
+    assert "endoscopylab.guards" in new
+    assert "dataclasses" not in new
 
 
 def test_package_import_and_private_lookups_load_no_submodule():
