@@ -55,9 +55,13 @@ __all__ = [
 
 class PacketModel(_Frozen):
     """Abstract packet: members (character, nonnegative trace) plus a sign
-    character epsilon, all on a sign group of the given rank."""
+    character epsilon, all on a sign group of the given rank.
 
-    __slots__ = ("rank", "members", "epsilon")
+    The traces are also kept as int numerators over the lcm of their
+    denominators, in ``_numerators`` and ``_den``; like every ``_`` slot
+    these stay outside equality, the hash and the repr."""
+
+    __slots__ = ("rank", "members", "epsilon", "_numerators", "_den")
 
     def __init__(self, rank: int, members: Iterable[tuple[GroupChar, Fraction | int]],
                  epsilon: GroupChar) -> None:
@@ -71,26 +75,26 @@ class PacketModel(_Frozen):
                 raise ValueError("member character has mismatched group rank")
             if trace.numerator < 0:  # a Fraction compare costs about 5x more
                 raise ValueError(f"negative trace {trace} in packet")
+        den = math.lcm(*(t.denominator for _, t in members))
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "epsilon", epsilon)
-
-    @property
-    def trace_total(self) -> Fraction:
-        """The sum of the traces, divided once over their common denominator."""
-        numerators, den = _over_common_denominator(self.members)
-        return Fraction(sum(numerators), den)
-
-
-def _over_common_denominator(members) -> tuple[list[int], int]:
-    """The members' traces as int numerators over the lcm of their denominators."""
-    den = math.lcm(*(t.denominator for _, t in members))
-    return [t.numerator * (den // t.denominator) for _, t in members], den
+        object.__setattr__(
+            self, "_numerators", tuple(t.numerator * (den // t.denominator) for _, t in members)
+        )
+        object.__setattr__(self, "_den", den)
 
 
 def random_packet(rng: random.Random, group: TwoGroup) -> PacketModel:
     """A random set of the group's characters with random traces and a random
-    epsilon, drawn as masks from ``range(group.order)``, not from a list."""
+    epsilon, drawn as masks from ``range(group.order)``, not from a list.
+
+    The set may hold all 2^(r-1) characters, so a group above the chain cap
+    raises :class:`GuardError` before anything is drawn from ``rng``.
+    """
+    refuse_above(
+        group.order, "a random packet could hold {count} entries, above the cap {cap}"
+    )
     masks = range(group.order)
     members = tuple(
         (GroupChar(group.rank, mask), Fraction(rng.randint(0, 9), rng.randint(1, 9)))
@@ -183,16 +187,10 @@ def i_disc_model(shape: ArthurShape, packet: PacketModel) -> Fraction:
     transform of the coefficients.  C^(m) depends on m only through how many
     blocks of each rank it flips, so one signed subset sum per such count
     tuple, kept for this call, replaces a 2^(r-1)-entry table.  The members
-    are summed as int numerators over the lcm of their denominators, and
-    divided once.  The work is counted first and refused above the chain cap.
+    are summed as the packet's int numerators over its common denominator,
+    and divided once.  The work is counted first and refused above the chain
+    cap.
     """
-    return _i_disc(shape, packet, *_over_common_denominator(packet.members))
-
-
-def _i_disc(
-    shape: ArthurShape, packet: PacketModel, numerators: list[int], den: int
-) -> Fraction:
-    """:func:`i_disc_model` with the traces given as numerators over den."""
     group = centralizer_group(shape)
     if packet.rank != group.rank:
         raise ValueError(
@@ -210,14 +208,14 @@ def _i_disc(
     of_rank = cache(partial(_numerator, shape.N))  # one call per minus rank
     transform: dict[tuple[int, ...], int] = {}
     total = 0
-    for (chi, _), numerator in zip(packet.members, numerators):
+    for (chi, _), numerator in zip(packet.members, packet._numerators):
         m = chi.mask ^ eps
         flips = tuple((m & mask).bit_count() for mask in classes.values())
         if flips not in transform:
             transform[flips] = _signed_sum(of_rank, classes, m)
         term = numerator * transform[flips]
         total += -term if (m & sp).bit_count() % 2 else term
-    return Fraction(total, den * (4 << group.rank))
+    return Fraction(total, packet._den * (4 << group.rank))
 
 
 class DominanceResult(NamedTuple):
@@ -233,13 +231,12 @@ def dominance_check(shape: ArthurShape, packet: PacketModel) -> DominanceResult:
     At s = s_psi the twist is trivial (all signs +1), so the dominant term
     is the plain trace sum; every other term is bounded by it when traces
     are nonnegative.  Both sums count their work first and refuse it above
-    the chain cap; neither builds a 2^(r-1)-entry table.  The traces are put
-    over their common denominator once, for both.
+    the chain cap; neither builds a 2^(r-1)-entry table.  Both read the
+    traces over the common denominator the packet keeps.
     """
-    numerators, den = _over_common_denominator(packet.members)
-    i_value = _i_disc(shape, packet, numerators, den)
+    i_value = i_disc_model(shape, packet)
     c_dom = stable_coefficient(shape, s_psi(shape))
-    s_dominant = c_dom * Fraction(sum(numerators), den)
+    s_dominant = c_dom * Fraction(sum(packet._numerators), packet._den)
     c_psi = coefficient_sum(shape) / c_dom
     return DominanceResult(i_value, s_dominant, c_psi, i_value <= c_psi * s_dominant)
 

@@ -421,14 +421,12 @@ def _cmd_derive(ns: argparse.Namespace, fmt: str):
 
 def _cmd_dominance(ns: argparse.Namespace, fmt: str):
     from .bounds import dominance_check, random_packet
-    from .endoscopy import _guarded_sign_group
-    from .params import num_json, shape_to_json
+    from .params import centralizer_group, num_json, shape_to_json
 
     if ns.trials < 1:
         raise ValueError(f"--trials must be positive, got {ns.trials}")
     shape = _shape_arg(ns.shape)
-    # refuse a big sign group before random_packet draws up to 2^(r-1) members from it
-    group = _guarded_sign_group(shape)
+    group = centralizer_group(shape)
     rng = random.Random(ns.seed)
     violations = 0
     for trial in range(ns.trials):

@@ -39,7 +39,6 @@ lists them without recursion, however many parts the partition has.
 
 from __future__ import annotations
 
-import json
 import math
 from functools import lru_cache
 from itertools import accumulate, chain
@@ -478,9 +477,8 @@ def bipartition_to_json(B: Bipartition) -> dict:
     return {"pairs": [[x, y] for x, y in B.pairs]}
 
 
-def bipartition_from_json(data: dict | str | Sequence) -> Bipartition:
-    if isinstance(data, str):
-        data = json.loads(data)
+def bipartition_from_json(data: dict | Sequence) -> Bipartition:
+    """Bipartition from its parsed JSON: an object with a "pairs" list, or the list."""
     if isinstance(data, dict):
         if "pairs" not in data:
             raise ValueError('bipartition JSON must carry a "pairs" list')

@@ -21,7 +21,6 @@ from .params import (
     ArthurShape,
     BlockSignVector,
     Summand,
-    TwoGroup,
     centralizer_group,
     s_psi,
 )
@@ -191,17 +190,11 @@ def _split_at(
     return lead, make_split(lead, _at(shape.summands, Tc))
 
 
-def _guarded_sign_group(shape: ArthurShape) -> TwoGroup:
-    """The sign group of an elliptic shape, refused when a table over it is too big.
-
-    A table with one entry per element has 2^(r-1) entries; above the chain
-    cap this raises :class:`GuardError` before any entry is built.
-    """
-    group = centralizer_group(shape)
-    refuse_above(
-        group.order, "the sign table would hold {count} entries, above the cap {cap}"
-    )
-    return group
+def _datum_split(shape: ArthurShape, element: int) -> tuple[EndoscopicDatum, ParameterSplit]:
+    """The datum and split under a sign-group element, bit i toggling block i + 1."""
+    minus = element << 1
+    split = _split_at(shape, ((1 << shape.r) - 1) ^ minus, minus)[1]
+    return split.datum, split
 
 
 def bijection(
@@ -215,14 +208,11 @@ def bijection(
     split.  The image has exactly 2^(r-1) entries, counted first against
     the chain cap.
     """
-    group = _guarded_sign_group(shape)
-    full = (1 << shape.r) - 1
-    out: dict[BlockSignVector, tuple[EndoscopicDatum, ParameterSplit]] = {}
-    for element in group.elements:
-        minus = element << 1  # bit i of the element toggles block i + 1
-        split = _split_at(shape, full ^ minus, minus)[1]
-        out[group.to_sign_vector(element)] = (split.datum, split)
-    return out
+    group = centralizer_group(shape)
+    refuse_above(
+        group.order, "the sign table would hold {count} entries, above the cap {cap}"
+    )
+    return {group.to_sign_vector(e): _datum_split(shape, e) for e in group.elements}
 
 
 def dominant_group(shape: ArthurShape) -> tuple[EndoscopicDatum, ParameterSplit]:
@@ -235,9 +225,7 @@ def dominant_group(shape: ArthurShape) -> tuple[EndoscopicDatum, ParameterSplit]
     """
     # centralizer_group rejects a non-elliptic shape, as bijection does
     group = centralizer_group(shape)
-    minus = group.from_sign_vector(s_psi(shape)) << 1
-    split = _split_at(shape, ((1 << shape.r) - 1) ^ minus, minus)[1]
-    return split.datum, split
+    return _datum_split(shape, group.from_sign_vector(s_psi(shape)))
 
 
 def kottwitz_sign_real(p: int, q: int) -> int:

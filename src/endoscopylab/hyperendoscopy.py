@@ -142,10 +142,6 @@ class HyperChain(_Frozen):
     def depth(self) -> int:
         return len(self.steps)
 
-    @property
-    def start(self) -> GroupSymbol:
-        return GroupSymbol.of_factors(self.assignment)
-
     def terminal_factors(self) -> tuple[ArthurShape, ...]:
         """Replay the steps; factors in the order the splits produce them."""
         return tuple(ArthurShape(part) for part in _replay(self))

@@ -11,7 +11,6 @@ elements as sign vectors, characters as parity functionals on bit masks.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -259,10 +258,8 @@ def shape_to_json(shape: ArthurShape) -> dict:
     return {"summands": summands}
 
 
-def shape_from_json(data: dict | str) -> ArthurShape:
-    """Shape from its JSON object; every field must have its exact JSON type."""
-    if isinstance(data, str):
-        data = json.loads(data)
+def shape_from_json(data: dict) -> ArthurShape:
+    """Shape from its parsed JSON object; every field must have its exact JSON type."""
     if not isinstance(data, dict) or not isinstance(data.get("summands"), list):
         raise ValueError('shape JSON must be an object with a "summands" list')
     summands = []

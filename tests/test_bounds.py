@@ -306,23 +306,26 @@ def test_the_step_count_bounds_the_visits_on_random_shapes():
 
 
 def test_dominance_check_puts_the_traces_over_one_denominator_once(monkeypatch):
+    # the lcm is taken once, when the packet is built; dominance_check takes none
     calls = []
-    honest = bounds._over_common_denominator
+    honest = bounds.math.lcm
 
-    def counted(members):
-        calls.append(len(members))
-        return honest(members)
+    def counted(*dens):
+        calls.append(len(dens))
+        return honest(*dens)
 
-    monkeypatch.setattr(bounds, "_over_common_denominator", counted)
+    monkeypatch.setattr(bounds.math, "lcm", counted)
     shape = from_cohomological((2, 1, 1, 1))
     group = centralizer_group(shape)
     rng = random.Random(5)
     for trial in range(1, 21):
+        calls.clear()
         packet = random_packet(rng, group)
+        assert calls == [len(packet.members)], trial
         expected = brute_i_disc(shape, packet, brute_coefficients(shape))
         calls.clear()
         result = dominance_check(shape, packet)
-        assert calls == [len(packet.members)], trial
+        assert calls == [], trial
         assert result.i_value == expected
         assert result.s_dominant == stable_coefficient(shape, s_psi(shape)) * sum(
             (t for _, t in packet.members), Fraction(0)
@@ -395,8 +398,8 @@ def test_i_disc_model_sums_mixed_denominators_exactly(parts):
             packet = PacketModel(group.rank, members, eps)
             # the traces are kept as given, the int ones included
             assert [type(t) for _, t in packet.members] == [Fraction, Fraction, int, int]
-            total = packet.trace_total
-            assert type(total) is Fraction
+            assert packet._den == 21
+            total = Fraction(sum(packet._numerators), packet._den)
             assert total == sum((t for _, t in members), Fraction(0))
             value = i_disc_model(shape, packet)
             assert type(value) is Fraction

@@ -263,6 +263,29 @@ def test_huge_polynomials_are_refused_by_the_library():
     )
 
 
+def test_random_packet_refuses_a_big_group_before_it_draws():
+    # the library guards its own draw: 2^40 characters are refused before
+    # rng.sample lists a range that size, and rng is left untouched
+    proc = run_in_bounded_memory(
+        "-c",
+        "import random\n"
+        "from endoscopylab.bounds import random_packet\n"
+        "from endoscopylab.guards import GuardError\n"
+        "from endoscopylab.params import TwoGroup\n"
+        "rng = random.Random(1)\n"
+        "try:\n"
+        "    random_packet(rng, TwoGroup(40))\n"
+        "except GuardError as exc:\n"
+        "    print(exc)\n"
+        "print(rng.getstate() == random.Random(1).getstate())\n",
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0,
+        "a random packet could hold 1099511627776 entries, above the cap 100000\nTrue\n",
+        "",
+    )
+
+
 def test_packet_guard_env_override(capsys, monkeypatch):
     monkeypatch.setenv("ENDOSCOPYLAB_GUARD", "9")
     code, _, err = run(capsys, "packet", "--a", "2", "--b", "3", "--P", "1,1,1,1,1")

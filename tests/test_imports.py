@@ -393,6 +393,26 @@ def test_cli_loads_only_guards_from_the_package():
     assert loaded == ["guards"]
 
 
+def private_imports(source: str) -> list[str]:
+    """The _-prefixed names a module imports from the package."""
+    return [
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").startswith("endoscopylab"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+def test_cli_imports_no_private_name_from_the_package():
+    assert private_imports((PACKAGE / "cli.py").read_text()) == []
+    assert private_imports(
+        "def f():\n    from .endoscopy import _at, bijection\n"
+        "from endoscopylab.guards import _Frozen\nfrom os import _exit\n"
+    ) == ["_Frozen", "_at"]
+
+
 # Every name the package's __init__ imported eagerly, before it resolved names
 # lazily, by the submodule that defines it.
 EAGER_EXPORTS = {
