@@ -384,9 +384,16 @@ def derive_exponent(N: int, a: int, k: int) -> Derivation:
         ),
     ]
 
+    table = []
+    for lam in _partitions(rank_odd_block):
+        dim2 = sum(x * x for x in lam)
+        if dim2 > rank_odd_block**2:
+            raise RuntimeError(f"terminal ranks {lam} exceed the odd block")
+        exponent = (N * N - rank_even_block**2 + dim2) // 2
+        table.append((GroupSymbol((rank_even_block,) + lam), exponent))
+
     if rank_odd_block == 0:
-        # single-block parameter: the group is its own dominant term
-        table = [(GroupSymbol((N,)), 0)]
+        # single-block parameter: the one row is U(N) itself, exponent 0
         steps.append(
             DerivationStep(
                 "bounded",
@@ -406,13 +413,6 @@ def derive_exponent(N: int, a: int, k: int) -> Derivation:
             N * N - rank_even_block**2 - rank_odd_block**2
         ) // 2
         savin = savin_exponent(GroupSymbol((rank_odd_block,)))
-        table = []
-        for lam in _partitions(rank_odd_block):
-            dim2 = sum(x * x for x in lam)
-            if dim2 > rank_odd_block**2:
-                raise RuntimeError(f"terminal ranks {lam} exceed the odd block")
-            exponent = (N * N - rank_even_block**2 + dim2) // 2
-            table.append((GroupSymbol((rank_even_block,) + lam), exponent))
         max_exponent = max(e for _, e in table)
         dominant_exponent = d_gap + 1 + savin
         # composition identity 2k(N-2k) + 1 + ((N-2k)^2 - 1) = N(N-2k)

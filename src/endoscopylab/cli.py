@@ -182,8 +182,6 @@ def _cmd_chains(ns: argparse.Namespace, fmt: str):
     from .params import num_json, s_psi, shape_to_json
 
     shape = _shape_arg(ns.shape)
-    if ns.N is not None and shape.N != ns.N:
-        raise ValueError(f"shape has N={shape.N}, but --N {ns.N} was given")
     if ns.dominant:
         center = s_psi(shape)
         terms = dominant_contribution(shape).items()
@@ -500,7 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("chains", _cmd_chains, "refinement chains and their expansion")
     p.add_argument("--shape", required=True, help="shape JSON (inline or file)")
-    p.add_argument("--N", type=int, help="cross-check the shape's rank")
     p.add_argument("--dominant", action="store_true",
                    help="expand the distinguished central-sign term instead")
 

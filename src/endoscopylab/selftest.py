@@ -1,19 +1,22 @@
 """Acceptance checks: one callable per criterion, exact arithmetic throughout.
 
-Each check returns a :class:`CheckResult` with a case count in ``detail``;
-randomized checks take an explicit seed and default to the fixed one used by
-the test suite and the CLI ``selftest`` subcommand.
+Each ``check_<name>`` body is a function of the seed that returns its pass
+detail, a case count, or raises :class:`_Failed` carrying the failure's
+detail.  The :func:`_check` wrapper turns either outcome into a
+:class:`CheckResult` named after the function.  Every check takes the seed, defaulting to the fixed one
+used by the test suite and the CLI ``selftest`` subcommand; the deterministic
+checks ignore it.  :data:`ALL_CHECKS` is the checks themselves, in order.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import time
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain, combinations_with_replacement
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .bounds import (
     PacketModel,
@@ -73,12 +76,33 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str
     elapsed_s: float = 0.0  # wall time of the check, set by run_all
+
+
+class _Failed(Exception):
+    """A check's failure; its one argument is the detail."""
+
+
+def _name(check: Callable) -> str:
+    return check.__name__.removeprefix("check_")
+
+
+def _check(body: Callable[[int], str]) -> Callable[[int], CheckResult]:
+    """The public check: the body's pass detail, or the detail of the
+    :class:`_Failed` it raised, as a :class:`CheckResult` named after it."""
+
+    @functools.wraps(body)
+    def check(seed: int = DEFAULT_SEED) -> CheckResult:
+        try:
+            return CheckResult(_name(body), True, body(seed))
+        except _Failed as failure:
+            return CheckResult(_name(body), False, str(failure))
+
+    return check
 
 
 def _compositions(n: int) -> Iterator[tuple[int, ...]]:
@@ -116,7 +140,8 @@ def _random_bipartition(rng: random.Random, max_total: int) -> Bipartition:
     return Bipartition(tuple(pairs))
 
 
-def check_poincare_oracle(seed: int = DEFAULT_SEED) -> CheckResult:
+@_check
+def check_poincare_oracle(seed: int = DEFAULT_SEED) -> str:
     """Criterion 1: the q = t^2 kernel == brute cell count, exhaustive + random.
 
     Every member the packet walk builds must also equal the same pairs built
@@ -129,19 +154,18 @@ def check_poincare_oracle(seed: int = DEFAULT_SEED) -> CheckResult:
     for B in chain(packet_members(6), randoms):
         checked = Bipartition(B.pairs)
         if checked != B or checked._key != B._key:
-            return CheckResult("poincare_oracle", False, f"walk member {B} differs")
+            raise _Failed(f"walk member {B} differs")
         if poincare_poly(B) != brute_poincare(B):
-            return CheckResult("poincare_oracle", False, f"mismatch at {B}")
+            raise _Failed(f"mismatch at {B}")
         cases += 1
-    return CheckResult(
-        "poincare_oracle",
-        True,
+    return (
         f"{cases} cases (every packet member over compositions with N<=6, "
-        "every a, + 50 random)",
+        "every a, + 50 random)"
     )
 
 
-def check_degree_formula() -> CheckResult:
+@_check
+def check_degree_formula(seed: int = DEFAULT_SEED) -> str:
     """Criterion 2: closed-form lowest degree == packet minimum, N <= 9."""
     cases = 0
     for N in range(2, 10):
@@ -152,19 +176,11 @@ def check_degree_formula() -> CheckResult:
                 observed = min(degree_R(B) for B in packet)
                 expected = lowest_degree(a, b, k)
                 if observed != expected:
-                    return CheckResult(
-                        "degree_formula",
-                        False,
-                        f"N={N} a={a} k={k}: formula {expected}, packet {observed}",
-                    )
+                    raise _Failed(f"N={N} a={a} k={k}: formula {expected}, packet {observed}")
                 if N % 2 == 1 and k == (N - 1) // 2 and expected != a:
-                    return CheckResult(
-                        "degree_formula",
-                        False,
-                        f"N={N} a={a}: expected degree a, got {expected}",
-                    )
+                    raise _Failed(f"N={N} a={a}: expected degree a, got {expected}")
                 cases += 1
-    return CheckResult("degree_formula", True, f"{cases} (N,a,k) triples, N<=9")
+    return f"{cases} (N,a,k) triples, N<=9"
 
 
 def _shapes_with_r_parts(max_N: int, r: int) -> list[ArthurShape]:
@@ -208,21 +224,21 @@ def brute_i_disc(
     return total
 
 
-def _shape_mismatch(
+def _cross_check_shape(
     shape: ArthurShape, coefficients: dict[BlockSignVector, Fraction]
-) -> str | None:
-    """The fast shape-level paths against the brute oracles; None when all agree."""
+) -> None:
+    """Hold the fast shape-level paths to the brute oracles; raise on the first miss."""
     for vector, coeff in coefficients.items():
         if stable_coefficient(shape, vector) != coeff:
-            return f"stable_coefficient off at {vector} for {shape}"
+            raise _Failed(f"stable_coefficient off at {vector} for {shape}")
     if dominant_group(shape) != bijection(shape)[s_psi(shape)]:
-        return f"dominant_group off for {shape}"
+        raise _Failed(f"dominant_group off for {shape}")
     if coefficient_sum(shape) != sum(coefficients.values()):
-        return f"coefficient_sum off for {shape}"
-    return None
+        raise _Failed(f"coefficient_sum off for {shape}")
 
 
-def check_dominance(seed: int = DEFAULT_SEED) -> CheckResult:
+@_check
+def check_dominance(seed: int = DEFAULT_SEED) -> str:
     """Criterion 3: dominance holds over exhaustive and random packets.
 
     Each distinct shape also cross-checks the fast coefficient, dominant
@@ -251,26 +267,21 @@ def check_dominance(seed: int = DEFAULT_SEED) -> CheckResult:
     for shape, packet, eps in chain(exhaustive(), drawn()):
         result = dominance_check(shape, packet)
         if not result.holds:
-            detail = (
+            raise _Failed(
                 f"random violation for {shape}"
                 if eps is None
                 else f"violated for {shape}, eps={eps.mask}"
             )
-            return CheckResult("dominance", False, detail)
         coeffs = coefficients.get(shape)
         if coeffs is None:
             coeffs = coefficients[shape] = brute_coefficients(shape)
-            mismatch = _shape_mismatch(shape, coeffs)
-            if mismatch:
-                return CheckResult("dominance", False, mismatch)
+            _cross_check_shape(shape, coeffs)
         if result.i_value != brute_i_disc(shape, packet, coeffs):
-            return CheckResult("dominance", False, f"i_disc_model off for {shape}")
+            raise _Failed(f"i_disc_model off for {shape}")
         cases += 1
-    return CheckResult(
-        "dominance",
-        True,
+    return (
         f"{cases} packets (exhaustive r<=5 + 1000 random), 0 violations, "
-        "fast paths equal to the brute oracles",
+        "fast paths equal to the brute oracles"
     )
 
 
@@ -299,7 +310,8 @@ def hyperchain_sum(factors: tuple[ArthurShape, ...]) -> FormalDist:
     )
 
 
-def check_inversion() -> CheckResult:
+@_check
+def check_inversion(seed: int = DEFAULT_SEED) -> str:
     """Criterion 4: kernel == enumerated chain sum, dyadic, unit leading coefficient.
 
     Covers every U(N) shape with N <= 6, a labelled shape with n > 1 blocks
@@ -321,33 +333,28 @@ def check_inversion() -> CheckResult:
         rec = expand_stable(assignment=factors)
         oracle = _chain_sum(factors)
         if rec != oracle:
-            return CheckResult("inversion", False, f"expansion mismatch at {name}")
+            raise _Failed(f"expansion mismatch at {name}")
         if sum(f.r for f in factors) <= 4:
             crossed += 1
             if oracle != hyperchain_sum(factors):
-                return CheckResult(
-                    "inversion", False, f"record walk differs from the chains at {name}"
-                )
+                raise _Failed(f"record walk differs from the chains at {name}")
         if not verify_inversion(assignment=factors):
-            return CheckResult("inversion", False, f"inversion fails at {name}")
+            raise _Failed(f"inversion fails at {name}")
         for _, coeff in rec.items():
             den = coeff.denominator
             if den & (den - 1):
-                return CheckResult(
-                    "inversion", False, f"non-dyadic coefficient {coeff} at {name}"
-                )
+                raise _Failed(f"non-dyadic coefficient {coeff} at {name}")
         if rec.coefficient(factors) != 1:
-            return CheckResult("inversion", False, f"leading coefficient != 1 at {name}")
-    return CheckResult(
-        "inversion",
-        True,
+            raise _Failed(f"leading coefficient != 1 at {name}")
+    return (
         f"{len(cases)} cases: all U(N) shapes with N<=6, a labelled shape "
         "and a product assignment, kernel equal to the enumerated chain sum, "
-        f"which equals the HyperChain sum on the {crossed} with r<=4",
+        f"which equals the HyperChain sum on the {crossed} with r<=4"
     )
 
 
-def check_exponent_pipeline() -> CheckResult:
+@_check
+def check_exponent_pipeline(seed: int = DEFAULT_SEED) -> str:
     """Criterion 5: derived exponent N(N-2k) with the chain max at the dominant term."""
     cases = 0
     for N in range(2, 17):
@@ -355,34 +362,27 @@ def check_exponent_pipeline() -> CheckResult:
             for a in range(0, N // 2 + 1):
                 d = derive_exponent(N, a, k)
                 if d.final != N * (N - 2 * k):
-                    return CheckResult(
-                        "exponent_pipeline",
-                        False,
-                        f"N={N} a={a} k={k}: final {d.final}",
-                    )
+                    raise _Failed(f"N={N} a={a} k={k}: final {d.final}")
                 if not d.max_matches_dominant:
-                    return CheckResult(
-                        "exponent_pipeline",
-                        False,
-                        f"N={N} a={a} k={k}: chain max off the dominant term",
-                    )
+                    raise _Failed(f"N={N} a={a} k={k}: chain max off the dominant term")
                 cases += 1
-    check = derive_exponent(5, 1, 2)
-    if check.final != 5:
-        return CheckResult("exponent_pipeline", False, f"N=5 k=2 gave {check.final}")
-    return CheckResult("exponent_pipeline", True, f"{cases} (N,a,k) triples, N<=16")
+    final = derive_exponent(5, 1, 2).final
+    if final != 5:
+        raise _Failed(f"N=5 k=2 gave {final}")
+    return f"{cases} (N,a,k) triples, N<=16"
 
 
-def check_sarnak_xue() -> CheckResult:
+@_check
+def check_sarnak_xue(seed: int = DEFAULT_SEED) -> str:
     """Criterion 6: proved exponent within the allowance for all N <= 50."""
     cases = 0
     for N in range(2, 51):
         for k in range(1, N // 2 + 1):
             result = sx_check(N, k)
             if not result.holds:
-                return CheckResult("sarnak_xue", False, f"fails at N={N}, k={k}")
+                raise _Failed(f"fails at N={N}, k={k}")
             cases += 1
-    return CheckResult("sarnak_xue", True, f"{cases} (N,k) pairs, N<=50")
+    return f"{cases} (N,k) pairs, N<=50"
 
 
 def _block_shapes(max_weight: int) -> Iterator[ArthurShape]:
@@ -402,42 +402,22 @@ def _block_shapes(max_weight: int) -> Iterator[ArthurShape]:
                 )
 
 
-def check_structure_counts() -> CheckResult:
+@_check
+def check_structure_counts(seed: int = DEFAULT_SEED) -> str:
     """Criterion 7: group orders, bijection sizes, packet sizes, iota table."""
     shape_cases = 0
-    for shape in _block_shapes(6):
-        group = centralizer_group(shape)
+    sevens = (from_cohomological(parts) for parts in _partitions(7) if len(parts) <= 6)
+    for shape in chain(_block_shapes(6), sevens):
         expected = 1 << (shape.r - 1)
-        if group.order != expected or len(bijection(shape)) != expected:
-            return CheckResult(
-                "structure_counts", False, f"group/bijection size off for {shape}"
-            )
+        if centralizer_group(shape).order != expected or len(bijection(shape)) != expected:
+            raise _Failed(f"group/bijection size off for {shape}")
         shape_cases += 1
-    for N in range(7, 8):
-        for parts in _partitions(N):
-            if len(parts) > 6:
-                continue
-            shape = from_cohomological(parts)
-            expected = 1 << (shape.r - 1)
-            if centralizer_group(shape).order != expected:
-                return CheckResult(
-                    "structure_counts", False, f"group size off for {shape}"
-                )
-            if len(bijection(shape)) != expected:
-                return CheckResult(
-                    "structure_counts", False, f"bijection size off for {shape}"
-                )
-            shape_cases += 1
     packet_cases = 0
     for N in range(1, 11):
         for a in range(0, N + 1):
             size = len(enumerate_bipartitions(a, N - a, (1,) * N))
             if size != math.comb(N, a):
-                return CheckResult(
-                    "structure_counts",
-                    False,
-                    f"discrete packet size {size} != C({N},{a})",
-                )
+                raise _Failed(f"discrete packet size {size} != C({N},{a})")
             packet_cases += 1
     iota_cases = 0
     for N in range(1, 13):
@@ -449,13 +429,9 @@ def check_structure_counts() -> CheckResult:
             else:
                 expected = Fraction(1, 2)
             if iota(datum) != expected:
-                return CheckResult("structure_counts", False, f"iota off at {datum}")
+                raise _Failed(f"iota off at {datum}")
             iota_cases += 1
-    return CheckResult(
-        "structure_counts",
-        True,
-        f"{shape_cases} shapes, {packet_cases} packets, {iota_cases} iota values",
-    )
+    return f"{shape_cases} shapes, {packet_cases} packets, {iota_cases} iota values"
 
 
 def _random_inner_form(rng: random.Random) -> tuple[InnerFormSpec, int]:
@@ -473,17 +449,16 @@ def _random_inner_form(rng: random.Random) -> tuple[InnerFormSpec, int]:
     return spec, N
 
 
-def check_inner_forms(seed: int = DEFAULT_SEED) -> CheckResult:
+@_check
+def check_inner_forms(seed: int = DEFAULT_SEED) -> str:
     """Criterion 8: valid specs have Kottwitz product +1; one flip breaks them."""
     rng = random.Random(seed)
     for case in range(200):
         spec, N = _random_inner_form(rng)
         if not check_inner_form(spec, N):
-            return CheckResult("inner_forms", False, f"repair failed, case {case}")
+            raise _Failed(f"repair failed, case {case}")
         if global_kottwitz_product(spec, N) != 1:
-            return CheckResult(
-                "inner_forms", False, f"product != +1 for valid spec, case {case}"
-            )
+            raise _Failed(f"product != +1 for valid spec, case {case}")
         if rng.getrandbits(1):
             flips = set(spec.finite_flips) ^ {f"w{rng.randint(0, 3)}"}
             flipped = InnerFormSpec(spec.signatures, frozenset(flips))
@@ -495,33 +470,30 @@ def check_inner_forms(seed: int = DEFAULT_SEED) -> CheckResult:
             signatures[idx] = (p, q)
             flipped = InnerFormSpec(tuple(signatures), spec.finite_flips)
         if check_inner_form(flipped, N):
-            return CheckResult(
-                "inner_forms", False, f"single flip kept validity, case {case}"
-            )
-    return CheckResult("inner_forms", True, "200 random specs, flip sensitivity held")
+            raise _Failed(f"single flip kept validity, case {case}")
+    return "200 random specs, flip sensitivity held"
 
 
-# Every entry takes the seed; the deterministic checks ignore it.
-ALL_CHECKS: tuple[tuple[str, Callable[[int], CheckResult]], ...] = (
-    ("poincare_oracle", check_poincare_oracle),
-    ("degree_formula", lambda seed: check_degree_formula()),
-    ("dominance", check_dominance),
-    ("inversion", lambda seed: check_inversion()),
-    ("exponent_pipeline", lambda seed: check_exponent_pipeline()),
-    ("sarnak_xue", lambda seed: check_sarnak_xue()),
-    ("structure_counts", lambda seed: check_structure_counts()),
-    ("inner_forms", check_inner_forms),
+ALL_CHECKS: tuple[Callable[[int], CheckResult], ...] = (
+    check_poincare_oracle,
+    check_degree_formula,
+    check_dominance,
+    check_inversion,
+    check_exponent_pipeline,
+    check_sarnak_xue,
+    check_structure_counts,
+    check_inner_forms,
 )
 
 
 def run_all(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """Run every check in order, each with its wall time in ``elapsed_s``."""
     results = []
-    for name, check in ALL_CHECKS:
+    for check in ALL_CHECKS:
         start = time.perf_counter()
         try:
             result = check(seed)
         except Exception as exc:  # a crash is a failure, not an abort
-            result = CheckResult(name, False, f"error: {exc}")
-        results.append(replace(result, elapsed_s=time.perf_counter() - start))
+            result = CheckResult(_name(check), False, f"error: {exc}")
+        results.append(result._replace(elapsed_s=time.perf_counter() - start))
     return results

@@ -6,8 +6,10 @@ the failure report) and asserts the underlying check.
 
 import pytest
 
+from endoscopylab import selftest
 from endoscopylab.selftest import (
     DEFAULT_SEED,
+    CheckResult,
     check_degree_formula,
     check_dominance,
     check_exponent_pipeline,
@@ -16,6 +18,7 @@ from endoscopylab.selftest import (
     check_poincare_oracle,
     check_sarnak_xue,
     check_structure_counts,
+    run_all,
 )
 
 
@@ -63,3 +66,17 @@ def test_criterion_7_structure_counts():
 def test_criterion_8_inner_forms():
     """Valid inner-form specs have Kottwitz product +1; one flip breaks them."""
     report(check_inner_forms(DEFAULT_SEED))
+
+
+def test_a_crashed_check_fails_alone(monkeypatch):
+    # a plain exception in a check's body is that check's failure, named by
+    # its function, and the other seven still run and pass
+    def crash(N, k):
+        raise RuntimeError("planted")
+
+    monkeypatch.setattr(selftest, "sx_check", crash)
+    results = run_all()
+    crashed = [r for r in results if not r.passed]
+    assert crashed == [CheckResult("sarnak_xue", False, "error: planted", crashed[0].elapsed_s)]
+    assert crashed[0].elapsed_s > 0
+    assert len(results) == 8 and results[5] is crashed[0]

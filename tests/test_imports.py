@@ -330,14 +330,53 @@ def imports_of(source: str) -> set[str]:
     return found
 
 
-def test_only_bounds_and_selftest_import_dataclasses():
-    # the value classes share guards._Frozen; Derivation and CheckResult stay
-    # dataclasses, and only derive, dominance and selftest load those modules
+def test_only_bounds_imports_dataclasses():
+    # the value classes share guards._Frozen; Derivation alone stays a
+    # dataclass, and only derive, dominance and selftest load bounds
     users = {path.stem for path in MODULES if "dataclasses" in imports_of(path.read_text())}
-    assert users == {"bounds", "selftest"}
+    assert users == {"bounds"}
     assert imports_of("def f():\n    from dataclasses import replace\nimport os.path\n") == {
         "dataclasses", "os"
     }
+
+
+def top_level_functions(source: str, prefix: str) -> list[str]:
+    """The names of the top-level functions that start with prefix, in order."""
+    return [
+        stmt.name
+        for stmt in ast.parse(source).body
+        if isinstance(stmt, ast.FunctionDef) and stmt.name.startswith(prefix)
+    ]
+
+
+def test_all_checks_are_the_check_functions_in_order():
+    # a new check cannot be left out of selftest, and no name can drift
+    from endoscopylab import selftest
+
+    names = top_level_functions((PACKAGE / "selftest.py").read_text(), "check_")
+    assert len(names) == 8
+    assert selftest.ALL_CHECKS == tuple(getattr(selftest, name) for name in names)
+    for name, result in zip(names, selftest.run_all()):
+        assert result.name == name.removeprefix("check_") and result.passed
+    assert top_level_functions("def check_b(): pass\nx = 1\ndef check_a(): pass\n"
+                               "def _check_c(): pass\nclass check_d: pass\n",
+                               "check_") == ["check_b", "check_a"]
+
+
+def asserts(source: str) -> list[int]:
+    """The line of each assert statement in source."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_module_holds_no_assert(path):
+    # python -O drops asserts: every invariant must be a raise that survives it
+    assert asserts(path.read_text()) == []
+
+
+def test_assert_check_sees_each_assert():
+    source = "def f(x):\n    assert x\n    if x:\n        assert x > 1, 'no'\nassertion = 1\n"
+    assert asserts(source) == [2, 4]
 
 
 NEW_MODULES = """
