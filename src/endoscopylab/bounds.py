@@ -31,7 +31,6 @@ from .params import (
     _is_exact_number,
     centralizer_group,
     from_cohomological,
-    num_json,
     s_psi,
 )
 
@@ -256,33 +255,10 @@ class Derivation:
     """Step-by-step exponent derivation; every value is recomputed.  (A
     dataclass: the bench tests build wrong ones with ``dataclasses.replace``.)"""
 
-    N: int
-    a: int
-    k: int
     steps: tuple[DerivationStep, ...]
     chain_exponents: tuple[tuple[GroupSymbol, int], ...]
     final: int
     max_matches_dominant: bool
-
-    def to_json(self) -> dict:
-        return {
-            "input": {"N": self.N, "a": self.a, "k": self.k},
-            "steps": [
-                {
-                    "name": s.name,
-                    "claim": s.claim,
-                    "justification": s.justification,
-                    "value": num_json(s.value),
-                }
-                for s in self.steps
-            ],
-            "chain_exponents": [
-                {"terminal": str(sym), "ranks": list(sym.ranks), "exponent": e}
-                for sym, e in self.chain_exponents
-            ],
-            "final": self.final,
-            "max_matches_dominant": self.max_matches_dominant,
-        }
 
 
 def _partitions(n: int, max_part: int | None = None):
@@ -391,6 +367,9 @@ def derive_exponent(N: int, a: int, k: int) -> Derivation:
             raise RuntimeError(f"terminal ranks {lam} exceed the odd block")
         exponent = (N * N - rank_even_block**2 + dim2) // 2
         table.append((GroupSymbol((rank_even_block,) + lam), exponent))
+    table.sort(key=lambda te: (-te[1], te[0].ranks))
+    final = table[0][1]
+    max_matches = final == N * (N - 2 * k)
 
     if rank_odd_block == 0:
         # single-block parameter: the one row is U(N) itself, exponent 0
@@ -404,8 +383,6 @@ def derive_exponent(N: int, a: int, k: int) -> Derivation:
                 0,
             )
         )
-        final = 0
-        max_matches = True
     else:
         datum, split = dominant_group(shape)
         iota_val = iota(datum)
@@ -413,15 +390,12 @@ def derive_exponent(N: int, a: int, k: int) -> Derivation:
             N * N - rank_even_block**2 - rank_odd_block**2
         ) // 2
         savin = savin_exponent(GroupSymbol((rank_odd_block,)))
-        max_exponent = max(e for _, e in table)
         dominant_exponent = d_gap + 1 + savin
         # composition identity 2k(N-2k) + 1 + ((N-2k)^2 - 1) = N(N-2k)
         if dominant_exponent != N * (N - 2 * k):
             raise RuntimeError(
                 f"dominant composition gave {dominant_exponent}, not N(N - 2k)"
             )
-        max_matches = max_exponent == dominant_exponent
-        final = max_exponent
         steps.extend(
             [
                 DerivationStep(
@@ -493,11 +467,7 @@ def derive_exponent(N: int, a: int, k: int) -> Derivation:
             ]
         )
 
-    table.sort(key=lambda te: (-te[1], te[0].ranks))
     return Derivation(
-        N=N,
-        a=a,
-        k=k,
         steps=tuple(steps),
         chain_exponents=tuple(table),
         final=final,

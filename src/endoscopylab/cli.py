@@ -37,15 +37,21 @@ SCHEMA_VERSION = 1
 def _load_json_text(text: str):
     """Inline JSON when the argument looks like it, else a file path."""
     stripped = text.strip()
-    if stripped.startswith("{") or stripped.startswith("["):
-        return json.loads(stripped)
+    inline = stripped.startswith("{") or stripped.startswith("[")
     try:
+        if inline:
+            return json.loads(stripped)
         with open(text, "r", encoding="utf-8") as handle:
             return json.load(handle)
     except OSError as exc:
         raise ValueError(f"cannot read {text!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
+        if inline:  # already a ValueError that gives the position
+            raise
         raise ValueError(f"{text!r} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        source = "the inline JSON" if inline else repr(text)
+        raise ValueError(f"{source} is nested too deeply") from exc
 
 
 def _shape_arg(text: str) -> ArthurShape:
@@ -82,6 +88,20 @@ def _expansion(terms, fmt: str):
 
 class _JsonItem(str):
     """The JSON text of a streamed list item, rendered at the item's depth."""
+
+
+def _json_item(**fields) -> _JsonItem:
+    """A list item of the payload from its scalar values and, for a list
+    value, the texts of its entries, each already at the entry's depth."""
+    entry = ",\n        "
+    texts = []
+    for key, value in fields.items():
+        if isinstance(value, list):
+            value = f"[\n        {entry.join(value)}\n      ]" if value else "[]"
+        else:
+            value = json.dumps(value)
+        texts.append(f"{json.dumps(key)}: {value}")
+    return _JsonItem("{\n      " + ",\n      ".join(texts) + "\n    }")
 
 
 def _json_chunks(payload: dict):
@@ -222,18 +242,15 @@ def _cmd_chains(ns: argparse.Namespace, fmt: str):
                 rendered[id(step)] = f"factor {step.factor}: {step.datum} [{step.split}]"
         return rendered[id(step)]
 
-    def chain_json(c) -> _JsonItem:
-        head = {"depth": c.depth, "iota": num_json(chain_iota(c)), "terminal": str(c.terminal)}
-        fields = [f'"{key}": {json.dumps(value)}' for key, value in head.items()]
-        steps = ",\n        ".join(map(render, c.steps))
-        fields.append(f'"steps": [\n        {steps}\n      ]' if steps else '"steps": []')
-        return _JsonItem("{\n      " + ",\n      ".join(fields) + "\n    }")
-
     if fmt == "json":
         return {
             "shape": shape_to_json(shape),
             "dominant": False,
-            "chains": map(chain_json, chains),
+            "chains": (
+                _json_item(depth=c.depth, iota=num_json(chain_iota(c)), terminal=str(c.terminal),
+                           steps=list(map(render, c.steps)))
+                for c in chains
+            ),
             "expansion": _expansion(terms, fmt),
         }
     if fmt == "csv":
@@ -338,14 +355,15 @@ def _cmd_decay(ns: argparse.Namespace, fmt: str):
     B = _bipartition_arg(ns.bipartition)
     bound = p_bound_of_bipartition(B)
     mixed = next((x, y) for x, y in B.pairs if x >= 1 and y >= 1)
-    profile = ratio_profile(B.N, sum(mixed), min(B.a, B.b), min(mixed))
+    N_k, c, c_k = sum(mixed), min(B.a, B.b), min(mixed)
+    profile = ratio_profile(B.N, N_k, c, c_k)
     if fmt == "json":
         return {
             **bipartition_to_json(B),
-            "N": profile.N,
-            "N_k": profile.N_k,
-            "c": profile.c,
-            "c_k": profile.c_k,
+            "N": B.N,
+            "N_k": N_k,
+            "c": c,
+            "c_k": c_k,
             "ratios": [num_json(r) for r in profile.ratios],
             "p_bound": num_json(bound) if bound is not None else None,
         }
@@ -357,7 +375,7 @@ def _cmd_decay(ns: argparse.Namespace, fmt: str):
         )
     ratios = ", ".join(f"j={j}: {r!s}" for j, r in enumerate(profile.ratios, 1))
     return [
-        f"B = {B}: N = {profile.N}, mixed pair size N_k = {profile.N_k}",
+        f"B = {B}: N = {B.N}, mixed pair size N_k = {N_k}",
         f"ratios: {ratios or '(none)'}",
         f"p bound: {str(bound) if bound is not None else 'unbounded (N_k = N)'}",
     ]
@@ -390,10 +408,24 @@ def _cmd_sx(ns: argparse.Namespace, fmt: str):
 
 def _cmd_derive(ns: argparse.Namespace, fmt: str):
     from .bounds import derive_exponent
+    from .params import num_json
 
     d = derive_exponent(ns.N, ns.a, ns.k)
     if fmt == "json":
-        return d.to_json()
+        return {
+            "input": {"N": ns.N, "a": ns.a, "k": ns.k},
+            "steps": [
+                {"name": s.name, "claim": s.claim, "justification": s.justification,
+                 "value": num_json(s.value)}
+                for s in d.steps
+            ],
+            "chain_exponents": (
+                _json_item(terminal=str(sym), ranks=list(map(str, sym.ranks)), exponent=e)
+                for sym, e in d.chain_exponents
+            ),
+            "final": d.final,
+            "max_matches_dominant": d.max_matches_dominant,
+        }
     if fmt == "csv":
         return chain(
             [("terminal", "exponent")],

@@ -22,12 +22,11 @@ __all__ = ["DecayProfile", "SxResult", "ratio_profile", "p_bound_of_bipartition"
 class DecayProfile(_Frozen):
     """Exact decay data; ``p_bound`` is None when no finite bound exists."""
 
-    __slots__ = ("N", "N_k", "c", "c_k", "ratios", "p_bound")
+    __slots__ = ("ratios", "p_bound")
 
-    def __init__(self, N: int, N_k: int, c: int, c_k: int,
-                 ratios: tuple[Fraction, ...], p_bound: Fraction | None) -> None:
-        for name, value in zip(self._fields, (N, N_k, c, c_k, ratios, p_bound)):
-            object.__setattr__(self, name, value)
+    def __init__(self, ratios: tuple[Fraction, ...], p_bound: Fraction | None) -> None:
+        object.__setattr__(self, "ratios", ratios)
+        object.__setattr__(self, "p_bound", p_bound)
 
 
 def ratio_profile(N: int, N_k: int, c: int, c_k: int) -> DecayProfile:
@@ -50,7 +49,7 @@ def ratio_profile(N: int, N_k: int, c: int, c_k: int) -> DecayProfile:
         Fraction(N_k - j, N - j) if j <= c_k else Fraction(0) for j in range(1, c + 1)
     )
     p_bound = None if N_k == N else Fraction(2 * (N - 1), N - N_k)
-    return DecayProfile(N, N_k, c, c_k, ratios, p_bound)
+    return DecayProfile(ratios, p_bound)
 
 
 def p_bound_of_bipartition(B: Bipartition) -> Fraction | None:

@@ -142,14 +142,6 @@ class ParameterSplit(_Frozen):
     def datum(self) -> EndoscopicDatum:
         return EndoscopicDatum(self.n1, self.n2)
 
-    @property
-    def shape1(self) -> ArthurShape:
-        return ArthurShape(self.part1)
-
-    @property
-    def shape2(self) -> ArthurShape | None:
-        return ArthurShape(self.part2) if self.part2 else None
-
     def __str__(self) -> str:
         left = ", ".join(str(s) for s in self.part1)
         right = ", ".join(str(s) for s in self.part2)

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import groupby, product
 from math import comb, prod
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -106,16 +106,10 @@ class GroupSymbol(_Frozen):
         return cls(tuple(f.N for f in factors))
 
     def __str__(self) -> str:
-        out = []
-        i = 0
-        while i < len(self.ranks):
-            j = i
-            while j < len(self.ranks) and self.ranks[j] == self.ranks[i]:
-                j += 1
-            count = j - i
-            out.append(f"U({self.ranks[i]})" + (f"^{count}" if count > 1 else ""))
-            i = j
-        return "x".join(out)
+        return "x".join([
+            f"U({k})^{count}" if (count := len(list(run))) > 1 else f"U({k})"
+            for k, run in groupby(self.ranks)
+        ])
 
 
 class ChainStep(_Frozen):
@@ -636,5 +630,5 @@ def dominant_contribution(shape: ArthurShape) -> FormalDist:
     datum, split = endoscopy.dominant_group(shape)
     if split.is_trivial:
         raise RuntimeError(f"nontrivial central sign of {shape} gave a trivial split")
-    assignment = (split.shape1, split.shape2)
+    assignment = (ArthurShape(split.part1), ArthurShape(split.part2))
     return iota(datum) * expand_stable(assignment=assignment)

@@ -140,18 +140,6 @@ def test_derive_validation():
         derive_exponent(5, 3, 2)  # a beyond half rank
 
 
-def test_derivation_json_shape():
-    data = derive_exponent(5, 1, 2).to_json()
-    assert data["input"] == {"N": 5, "a": 1, "k": 2}
-    assert data["final"] == 5
-    assert data["max_matches_dominant"] is True
-    names = [step["name"] for step in data["steps"]]
-    assert names[:3] == ["packet", "spectral", "dominance"]
-    for step in data["steps"]:
-        assert isinstance(step["value"], (int, str))
-    assert data["chain_exponents"][0]["ranks"] == [4, 1]
-
-
 def test_dominance_respects_epsilon_twist():
     shape = from_cohomological((2, 1))
     group = centralizer_group(shape)

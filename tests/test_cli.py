@@ -10,6 +10,7 @@ import resource
 import subprocess
 import sys
 import tracemalloc
+from collections.abc import Iterator
 from pathlib import Path
 from unittest import mock
 
@@ -22,6 +23,8 @@ from endoscopylab.selftest import CheckResult, run_all
 
 SHAPE_21 = '{"summands": [{"label": "c1", "n": 1, "m": 2}, {"label": "c2", "n": 1, "m": 1}]}'
 SHAPE_11 = '{"summands": [{"label": "c1", "n": 1, "m": 1}, {"label": "c2", "n": 1, "m": 1}]}'
+# deeper than the json decoder's recursion limit
+NESTED = pytest.param("[" * 50000, id="nested")
 
 
 def run(capsys, *argv):
@@ -298,7 +301,7 @@ def test_packet_guard_env_override(capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "bipartition",
-    ['[[1.7,0],[true,1]]', '[[true,1]]', '[["1",0]]', '{"pairs": [[1,0.0]]}'],
+    ['[[1.7,0],[true,1]]', '[[true,1]]', '[["1",0]]', '{"pairs": [[1,0.0]]}', NESTED],
 )
 @pytest.mark.parametrize("command", ["poincare", "decay"])
 def test_non_int_bipartition_is_usage_error(capsys, command, bipartition):
@@ -315,6 +318,44 @@ def test_derive_json(capsys):
     assert data["schema_version"] == 1
     assert data["final"] == 5
     assert data["chain_exponents"][0]["terminal"] == "U(4)xU(1)"
+
+
+@pytest.mark.parametrize("N, a, k", [(2, 1, 1), (6, 2, 3), (5, 1, 2), (12, 3, 2), (40, 1, 1)])
+def test_derive_json_is_json_dumps_of_the_derivation(capsys, N, a, k):
+    # the chain rows are rendered one item at a time, never held as a list
+    from endoscopylab.bounds import derive_exponent
+    from endoscopylab.params import num_json
+
+    argv = ["derive", "--N", str(N), "--a", str(a), "--k", str(k), "--format", "json"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    data = json.loads(out)
+    assert out == json.dumps(data, indent=2) + "\n"
+    d = derive_exponent(N, a, k)
+    assert data == {
+        "schema_version": 1,
+        "input": {"N": N, "a": a, "k": k},
+        "steps": [
+            {"name": s.name, "claim": s.claim, "justification": s.justification,
+             "value": num_json(s.value)}
+            for s in d.steps
+        ],
+        "chain_exponents": [
+            {"terminal": str(sym), "ranks": list(sym.ranks), "exponent": e}
+            for sym, e in d.chain_exponents
+        ],
+        "final": d.final,
+        "max_matches_dominant": d.max_matches_dominant,
+    }
+    assert data["final"] == N * (N - 2 * k)
+    assert data["max_matches_dominant"] is True
+    assert [step["name"] for step in data["steps"]][:3] == ["packet", "spectral", "dominance"]
+    for step in data["steps"]:
+        assert isinstance(step["value"], (int, str))
+    dominant = [2 * k, N - 2 * k] if N > 2 * k else [N]
+    assert data["chain_exponents"][0]["ranks"] == sorted(dominant, reverse=True)
+    payload = cli._cmd_derive(cli.build_parser().parse_args(argv), "json")
+    assert isinstance(payload["chain_exponents"], Iterator)
 
 
 def test_derive_json_is_a_later_wins_shorthand(capsys):
@@ -441,6 +482,7 @@ def test_chains_dominant_guard_on_ten_blocks(capsys):
         '{"summands": [{"label": "a", "n": 1.9, "m": 1}]}',
         '{"summands": [{"label": "a", "n": 1, "m": true}]}',
         '{"summands": [{"label": "a", "n": 1, "m": 1, "self_dual": "false"}]}',
+        NESTED,
     ],
 )
 def test_malformed_shape_json_is_usage_error(capsys, shape):
@@ -580,6 +622,14 @@ def test_shape_file_argument(tmp_path, capsys):
     code, out, _ = run(capsys, "chains", "--shape", str(path), "--dominant")
     assert code == 0
     assert "U(2)xU(1)" in out
+
+
+def test_nested_shape_file_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "shape.json"
+    path.write_text("[" * 50000)
+    code, out, err = run(capsys, "chains", "--shape", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {str(path)!r} is nested too deeply\n"
 
 
 def test_missing_shape_file(capsys):

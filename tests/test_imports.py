@@ -242,6 +242,27 @@ def test_only_the_selftest_lists_every_character():
     assert callers("def f(g):\n    return g.characters()\n", "characters") == ["f"]
 
 
+def classes_defining(source: str, name: str) -> list[str]:
+    """The classes whose body defines a function name."""
+    return [
+        node.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(f, ast.FunctionDef) and f.name == name for f in node.body)
+    ]
+
+
+def test_only_the_cli_renders_json():
+    # the library returns values, and each command builds its own payload
+    rendered = {path.stem: callers(path.read_text(), "num_json") for path in MODULES}
+    assert {stem for stem, f in rendered.items() if f} == {"cli"}
+    assert {path.stem for path in MODULES if classes_defining(path.read_text(), "to_json")} == set()
+    assert callers("from .params import num_json\ndef f(d):\n    return params.num_json(d)\n",
+                   "num_json") == ["f"]
+    assert classes_defining("class A:\n    def to_json(self): pass\nclass B:\n    to_json = 1\n"
+                            "def to_json(): pass\n", "to_json") == ["A"]
+
+
 def test_blocks_are_split_only_through_the_mask_helper():
     # every split of a shape's blocks is made from two masks by _split_at
     made = {path.stem: callers(path.read_text(), "make_split") for path in MODULES}
