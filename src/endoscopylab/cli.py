@@ -87,27 +87,31 @@ def _expansion(terms, fmt: str):
 
 
 class _JsonItem(str):
-    """The JSON text of a streamed list item, rendered at the item's depth."""
+    """JSON text already laid out at its depth, which _json_text keeps as it is."""
 
 
-def _json_item(**fields) -> _JsonItem:
-    """A list item of the payload from its scalar values and, for a list
-    value, the texts of its entries, each already at the entry's depth."""
-    entry = ",\n        "
-    texts = []
-    for key, value in fields.items():
-        if isinstance(value, list):
-            value = f"[\n        {entry.join(value)}\n      ]" if value else "[]"
-        else:
-            value = json.dumps(value)
-        texts.append(f"{json.dumps(key)}: {value}")
-    return _JsonItem("{\n      " + ",\n      ".join(texts) + "\n    }")
+def _json_text(value, pad: str) -> str:
+    """json.dumps(value, indent=2) with pad in place of each line break, made by
+    the C encoder alone (an indent selects the pure-Python one).  Keys are str,
+    and a _JsonItem is kept as it is."""
+    if type(value) is int:  # not a bool; str is json.dumps's text, at a fraction of its cost
+        return str(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        ends, texts = "{}", [f"{json.dumps(k)}: {_json_text(v, inner)}" for k, v in value.items()]
+    elif isinstance(value, (list, tuple)):
+        ends, texts = "[]", [_json_text(v, inner) for v in value]
+    else:
+        return value if isinstance(value, _JsonItem) else json.dumps(value)
+    if not texts:
+        return ends
+    return ends[0] + inner + ("," + inner).join(texts) + pad + ends[1]
 
 
 def _json_chunks(payload: dict):
     """The text of json.dumps({"schema_version": 1, **payload}, indent=2) and a
     newline, in pieces: a value that is an iterator is written as a list, one
-    item at a time, and an item that is a _JsonItem as it is."""
+    item at a time."""
     sep = "{"
     for key, value in {"schema_version": SCHEMA_VERSION, **payload}.items():
         yield f"{sep}\n  {json.dumps(key)}: "
@@ -115,13 +119,11 @@ def _json_chunks(payload: dict):
         if isinstance(value, Iterator):
             head = "["
             for item in value:
-                if not isinstance(item, _JsonItem):
-                    item = json.dumps(item, indent=2).replace("\n", "\n    ")
-                yield f"{head}\n    {item}"
+                yield head + "\n    " + _json_text(item, "\n    ")
                 head = ","
             yield "[]" if head == "[" else "\n  ]"
         else:
-            yield json.dumps(value, indent=2).replace("\n", "\n  ")
+            yield _json_text(value, "\n  ")
     yield "\n}\n"
 
 
@@ -235,9 +237,9 @@ def _cmd_chains(ns: argparse.Namespace, fmt: str):
     def render(step):
         if id(step) not in rendered:
             if fmt == "json":
-                text = json.dumps({"factor": step.factor, "datum": datum_to_json(step.datum),
-                                   "split": split_to_json(step.split)}, indent=2)
-                rendered[id(step)] = text.replace("\n", "\n        ")
+                rendered[id(step)] = _JsonItem(_json_text(
+                    {"factor": step.factor, "datum": datum_to_json(step.datum),
+                     "split": split_to_json(step.split)}, "\n        "))
             else:
                 rendered[id(step)] = f"factor {step.factor}: {step.datum} [{step.split}]"
         return rendered[id(step)]
@@ -247,8 +249,8 @@ def _cmd_chains(ns: argparse.Namespace, fmt: str):
             "shape": shape_to_json(shape),
             "dominant": False,
             "chains": (
-                _json_item(depth=c.depth, iota=num_json(chain_iota(c)), terminal=str(c.terminal),
-                           steps=list(map(render, c.steps)))
+                {"depth": c.depth, "iota": num_json(chain_iota(c)), "terminal": str(c.terminal),
+                 "steps": list(map(render, c.steps))}
                 for c in chains
             ),
             "expansion": _expansion(terms, fmt),
@@ -420,7 +422,7 @@ def _cmd_derive(ns: argparse.Namespace, fmt: str):
                 for s in d.steps
             ],
             "chain_exponents": (
-                _json_item(terminal=str(sym), ranks=list(map(str, sym.ranks)), exponent=e)
+                {"terminal": str(sym), "ranks": sym.ranks, "exponent": e}
                 for sym, e in d.chain_exponents
             ),
             "final": d.final,

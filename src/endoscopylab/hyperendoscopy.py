@@ -142,7 +142,7 @@ class HyperChain(_Frozen):
 
     @property
     def terminal(self) -> GroupSymbol:
-        return GroupSymbol.of_factors(self.terminal_factors())
+        return GroupSymbol(sum(s.block_dim for s in part) for part in _replay(self))
 
 
 def _replay(chain: HyperChain) -> list[tuple[Summand, ...]]:
@@ -518,18 +518,12 @@ def _factor_terms(
     def walk(rest: int, chosen: tuple[int, ...]) -> None:
         if not rest:
             ranks = tuple(sorted(rank[m] for m in chosen))
-            out.append(
-                ([part[m] for m in chosen], _tree_sum(ranks, memo), len(chosen) - 1)
-            )
+            out.append(([part[m] for m in chosen], _tree_sum(ranks, memo), len(chosen) - 1))
             return
-        low = rest & -rest
-        others = rest ^ low
-        sub = others
-        while True:
-            walk(others ^ sub, chosen + (low | sub,))
-            if not sub:
-                break
-            sub = (sub - 1) & others
+        # the part holding rest's lowest block: all of rest, or the T of a split
+        walk(0, chosen + (rest,))
+        for T, Tc in _splits(rest):
+            walk(Tc, chosen + (T,))
 
     walk(full, ())
     return out

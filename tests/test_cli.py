@@ -582,14 +582,73 @@ def test_packet_output_streams(parts, fmt, bound):
         ({"a": {"b": {"c": [1, {"d": []}], "e": {}}}, "rows": [{"x": [1, 2]}, {}, []]}, {"rows"}),
         ({"λ": "U(2)×U(1) — ε", "items": ["é", {"ü": ["ß"]}]}, {"items"}),
         ({}, set()),
+        ({"t": (1, ("a\"b\\c\n\t\x01", None)), "rows": [(-2, "/"), '"q"\r\n']}, {"rows"}),
     ],
-    ids=["empty streamed list", "scalars", "nested dicts", "non-ascii", "schema only"],
+    ids=["empty streamed list", "scalars", "nested dicts", "non-ascii", "schema only",
+         "tuples and escapes"],
 )
 def test_json_writer_matches_json_dumps(payload, streamed):
     # the writer takes the streamed lists as iterators, json.dumps as lists
     expected = json.dumps({"schema_version": 1, **payload}, indent=2) + "\n"
     lazy = {key: iter(v) if key in streamed else v for key, v in payload.items()}
     assert "".join(cli._json_chunks(lazy)) == expected
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats()
+    | st.integers() | st.integers(-(10**80), 10**80)
+    | st.text(st.characters(codec="utf-8"))
+    | st.text('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\U0001f600', max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=JSON_VALUES, depth=st.sampled_from([0, 1, 4]))
+def test_json_text_is_json_dumps_at_a_depth(value, depth):
+    pad = "\n" + "  " * depth
+    assert cli._json_text(value, pad) == json.dumps(value, indent=2).replace("\n", pad)
+
+
+@pytest.mark.parametrize("depth", [0, 1, 4])
+def test_json_text_keeps_a_prerendered_item(depth):
+    pad = "\n" + "  " * depth
+    item = cli._JsonItem('{"kept":  [1,2]}')
+    assert cli._json_text(item, pad) is item
+    assert cli._json_text({"x": [item, 3]}, pad) == (
+        "{" + pad + '  "x": [' + pad + "    " + item + "," + pad + "    3" + pad + "  ]" + pad + "}"
+    )
+
+
+# labels that json.dumps escapes: non-ASCII letters, a quote and a backslash
+ODD_LABEL_SHAPE = json.dumps({"summands": [
+    {"label": "\u00e9\"1", "n": 1, "m": 2}, {"label": "c2", "n": 1, "m": 1},
+    {"label": "\u00df\\", "n": 1, "m": 1}, {"label": "c3", "n": 1, "m": 3},
+]})
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["endoscopy", "--N", "7", "--shape", ODD_LABEL_SHAPE],
+        ["chains", "--shape", ODD_LABEL_SHAPE],
+        ["chains", "--shape", ODD_LABEL_SHAPE, "--dominant"],
+        ["packet", "--a", "5", "--b", "7", "--P", ",".join(["1"] * 12)],
+        ["poincare", "--bipartition", "[[2,1],[0,3],[1,1]]"],
+        ["decay", "--bipartition", "[[2,2],[1,0]]"],
+        ["sx", "--N", "7", "--k", "2"],
+        ["dominance", "--shape", ODD_LABEL_SHAPE, "--trials", "5"],
+    ],
+    ids=["endoscopy", "chains", "chains --dominant", "packet", "poincare", "decay", "sx",
+         "dominance"],
+)
+def test_json_output_is_json_dumps_of_itself(capsys, argv):
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 def test_derive_guard_exit_code(capsys):

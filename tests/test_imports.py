@@ -400,6 +400,31 @@ def test_assert_check_sees_each_assert():
     assert asserts(source) == [2, 4]
 
 
+def indented_json_calls(source: str) -> list[int]:
+    """Lines that call json.dump or json.dumps with an indent, or with **options."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) in ("dump", "dumps")
+        and any(keyword.arg in ("indent", None) for keyword in node.keywords)
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_no_json_call_takes_an_indent(path):
+    # with an indent, json.dumps runs the pure-Python encoder: the CLI lays
+    # out its JSON through cli._json_text on the C one
+    assert indented_json_calls(path.read_text()) == []
+
+
+def test_indent_check_sees_each_form():
+    source = ("import json\nfrom json import dump\njson.dumps(x, indent=2)\n"
+              "dump(x, f, indent=None)\njson.dumps(x)\njson.dumps(x, **options)\n"
+              "text.indent(2)\n")
+    assert indented_json_calls(source) == [3, 4, 6]
+
+
 NEW_MODULES = """
 import contextlib, io, json, sys
 before = set(sys.modules)
