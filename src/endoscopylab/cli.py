@@ -27,11 +27,22 @@ from .guards import DEFAULT_CHAIN_GUARD, DEFAULT_SEED, GuardError, guard_limit
 
 if TYPE_CHECKING:
     from .cohomology import Bipartition, PoincarePoly
-    from .params import ArthurShape
+    from .endoscopy import EndoscopicDatum, ParameterSplit
+    from .params import ArthurShape, Summand
 
 __all__ = ["main", "build_parser"]
 
 SCHEMA_VERSION = 1
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; a repeated key is an error, not a later-wins."""
+    obj: dict = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"a JSON object repeats the key {key!r}")
+        obj[key] = value
+    return obj
 
 
 def _load_json_text(text: str):
@@ -40,9 +51,9 @@ def _load_json_text(text: str):
     inline = stripped.startswith("{") or stripped.startswith("[")
     try:
         if inline:
-            return json.loads(stripped)
+            return json.loads(stripped, object_pairs_hook=_unique_keys)
         with open(text, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            return json.load(handle, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ValueError(f"cannot read {text!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -54,36 +65,103 @@ def _load_json_text(text: str):
         raise ValueError(f"{source} is nested too deeply") from exc
 
 
-def _shape_arg(text: str) -> ArthurShape:
-    from .params import shape_from_json
+# The JSON schema, both ways: the library computes values and renders none.
 
-    return shape_from_json(_load_json_text(text))
+
+def _shape_from_json(data) -> ArthurShape:
+    """Shape from its parsed JSON object; every field must have its exact JSON type."""
+    from .params import ArthurShape, Summand
+
+    if not isinstance(data, dict) or not isinstance(data.get("summands"), list):
+        raise ValueError('shape JSON must be an object with a "summands" list')
+    summands = []
+    for entry in data["summands"]:
+        if not isinstance(entry, dict):
+            raise ValueError(f"summand entry must be an object, got {entry!r}")
+        unknown = entry.keys() - {"label", "n", "m", "self_dual"}
+        if unknown:
+            raise ValueError(f"summand entry has unknown fields {sorted(unknown)}: {entry!r}")
+        try:
+            # Summand checks the type of each field
+            label, n, m = entry["label"], entry["n"], entry["m"]
+        except KeyError as exc:
+            raise ValueError(f"malformed summand entry: {entry!r}") from exc
+        summands.append(Summand(label, n, m, entry.get("self_dual", True)))
+    return ArthurShape(tuple(summands))
+
+
+def _bipartition_from_json(data) -> Bipartition:
+    """Bipartition from its parsed JSON: an object with a "pairs" list, or the list."""
+    from .cohomology import Bipartition
+
+    if isinstance(data, dict):
+        if "pairs" not in data:
+            raise ValueError('bipartition JSON must carry a "pairs" list')
+        data = data["pairs"]
+    try:
+        pairs = tuple((x, y) for x, y in data)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"malformed bipartition data: {data!r}") from exc
+    return Bipartition(pairs)
+
+
+def _summands_json(summands: Sequence[Summand]) -> list[dict]:
+    """The summand entries of a shape or of one part of a split."""
+    entries = []
+    for s in summands:
+        entry: dict = {"label": s.label, "n": s.n, "m": s.m}
+        if not s.self_dual:
+            entry["self_dual"] = False
+        entries.append(entry)
+    return entries
+
+
+def _shape_to_json(shape: ArthurShape) -> dict:
+    return {"summands": _summands_json(shape.summands)}
+
+
+def _split_to_json(split: ParameterSplit) -> dict:
+    return {"part1": _summands_json(split.part1), "part2": _summands_json(split.part2)}
+
+
+def _datum_to_json(datum: EndoscopicDatum) -> dict:
+    return {"n1": datum.n1, "n2": datum.n2, "proper": datum.proper, "kappa": list(datum.kappa)}
+
+
+def _bipartition_to_json(B: Bipartition) -> dict:
+    return {"pairs": [[x, y] for x, y in B.pairs]}
+
+
+def _shape_arg(text: str) -> ArthurShape:
+    return _shape_from_json(_load_json_text(text))
 
 
 def _bipartition_arg(text: str) -> Bipartition:
-    from .cohomology import bipartition_from_json
-
-    return bipartition_from_json(_load_json_text(text))
+    return _bipartition_from_json(_load_json_text(text))
 
 
 def _expansion(terms, fmt: str):
     """The sorted terms of an expansion as json items, csv rows or table lines."""
     from .hyperendoscopy import GroupSymbol
-    from .params import num_json, shape_to_json
 
     for key, coeff in terms:
         group = str(GroupSymbol.of_factors(key))
         if fmt == "json":
             yield {
-                "coefficient": num_json(coeff),
+                "coefficient": coeff,
                 "group": group if key else "1",
-                "factors": [shape_to_json(f) for f in key],
+                "factors": [_shape_to_json(f) for f in key],
             }
         elif fmt == "csv":
             yield str(coeff), group, " | ".join(map(str, key))
         else:
             label = f"{group} [{' | '.join(map(str, key))}]" if key else "1"
             yield f"  {coeff!s:>8}  I^{{{label}}}"
+
+
+# json.dumps, but a Fraction is the int when it is integral, else "p/q".  json
+# calls default only on a type it cannot encode, so packet and poincare load no fractions
+_scalar_json = json.JSONEncoder(default=lambda f: int(f) if f.denominator == 1 else str(f)).encode
 
 
 class _JsonItem(str):
@@ -93,7 +171,7 @@ class _JsonItem(str):
 def _json_text(value, pad: str) -> str:
     """json.dumps(value, indent=2) with pad in place of each line break, made by
     the C encoder alone (an indent selects the pure-Python one).  Keys are str,
-    and a _JsonItem is kept as it is."""
+    a _JsonItem is kept as it is, and a Fraction is an int or "p/q"."""
     if type(value) is int:  # not a bool; str is json.dumps's text, at a fraction of its cost
         return str(value)
     inner = pad + "  "
@@ -102,7 +180,7 @@ def _json_text(value, pad: str) -> str:
     elif isinstance(value, (list, tuple)):
         ends, texts = "[]", [_json_text(v, inner) for v in value]
     else:
-        return value if isinstance(value, _JsonItem) else json.dumps(value)
+        return value if isinstance(value, _JsonItem) else _scalar_json(value)
     if not texts:
         return ends
     return ends[0] + inner + ("," + inner).join(texts) + pad + ends[1]
@@ -138,8 +216,8 @@ def _emit(fmt: str, out) -> None:
 
 
 def _cmd_endoscopy(ns: argparse.Namespace, fmt: str):
-    from .endoscopy import bijection, datum_to_json, elliptic_data, iota, split_to_json
-    from .params import num_json, s_psi, shape_to_json
+    from .endoscopy import bijection, elliptic_data, iota
+    from .params import s_psi
 
     data = elliptic_data(ns.N)
     table = None
@@ -152,17 +230,17 @@ def _cmd_endoscopy(ns: argparse.Namespace, fmt: str):
     if fmt == "json":
         payload: dict = {
             "N": ns.N,
-            "data": ({**datum_to_json(d), "iota": num_json(iota(d))} for d in data),
+            "data": ({**_datum_to_json(d), "iota": iota(d)} for d in data),
         }
         if table is not None:
-            payload["shape"] = shape_to_json(shape)
+            payload["shape"] = _shape_to_json(shape)
             payload["s_psi"] = str(center)
             payload["table"] = (
                 {
                     "s": str(s),
-                    "datum": datum_to_json(datum),
-                    "iota": num_json(iota(datum)),
-                    "split": split_to_json(split),
+                    "datum": _datum_to_json(datum),
+                    "iota": iota(datum),
+                    "split": _split_to_json(split),
                     "is_s_psi": s == center,
                 }
                 for s, (datum, split) in table
@@ -198,10 +276,10 @@ def _cmd_endoscopy(ns: argparse.Namespace, fmt: str):
 
 
 def _cmd_chains(ns: argparse.Namespace, fmt: str):
-    from .endoscopy import datum_to_json, dominant_group, iota, split_to_json
+    from .endoscopy import dominant_group, iota
     from .hyperendoscopy import (chain_expansion, chain_iota, dominant_contribution,
                                  enumerate_chains)
-    from .params import num_json, s_psi, shape_to_json
+    from .params import s_psi
 
     shape = _shape_arg(ns.shape)
     if ns.dominant:
@@ -209,11 +287,11 @@ def _cmd_chains(ns: argparse.Namespace, fmt: str):
         terms = dominant_contribution(shape).items()
         dominant = None if center.is_identity else dominant_group(shape)
         if fmt == "json":
-            payload: dict = {"shape": shape_to_json(shape), "dominant": True}
+            payload: dict = {"shape": _shape_to_json(shape), "dominant": True}
             payload["dominant_datum"] = None
             if dominant:
-                payload["dominant_datum"] = datum_to_json(dominant[0])
-                payload["dominant_split"] = split_to_json(dominant[1])
+                payload["dominant_datum"] = _datum_to_json(dominant[0])
+                payload["dominant_split"] = _split_to_json(dominant[1])
             payload["expansion"] = _expansion(terms, fmt)
             return payload
         if fmt == "csv":
@@ -238,18 +316,18 @@ def _cmd_chains(ns: argparse.Namespace, fmt: str):
         if id(step) not in rendered:
             if fmt == "json":
                 rendered[id(step)] = _JsonItem(_json_text(
-                    {"factor": step.factor, "datum": datum_to_json(step.datum),
-                     "split": split_to_json(step.split)}, "\n        "))
+                    {"factor": step.factor, "datum": _datum_to_json(step.datum),
+                     "split": _split_to_json(step.split)}, "\n        "))
             else:
                 rendered[id(step)] = f"factor {step.factor}: {step.datum} [{step.split}]"
         return rendered[id(step)]
 
     if fmt == "json":
         return {
-            "shape": shape_to_json(shape),
+            "shape": _shape_to_json(shape),
             "dominant": False,
             "chains": (
-                {"depth": c.depth, "iota": num_json(chain_iota(c)), "terminal": str(c.terminal),
+                {"depth": c.depth, "iota": chain_iota(c), "terminal": str(c.terminal),
                  "steps": list(map(render, c.steps))}
                 for c in chains
             ),
@@ -279,20 +357,15 @@ def _cmd_chains(ns: argparse.Namespace, fmt: str):
 
 
 def _parse_partition(text: str) -> tuple[int, ...]:
-    try:
-        parts = tuple(int(piece) for piece in text.split(",") if piece.strip())
+    try:  # every piece, so an empty one (",," or a trailing comma) is an error
+        return tuple(int(piece) for piece in text.split(","))
     except ValueError as exc:
         raise ValueError(f"--P expects a comma list of integers, got {text!r}") from exc
-    if not parts:
-        raise ValueError("--P must name at least one part")
-    return parts
 
 
 def _member_json(B: Bipartition, R: int, poly: PoincarePoly) -> dict:
-    from .cohomology import bipartition_to_json
-
     return {
-        **bipartition_to_json(B),
+        **_bipartition_to_json(B),
         "R": R,
         "poincare": list(poly.coeffs),
         "reduced": B.is_reduced,
@@ -350,9 +423,7 @@ def _cmd_poincare(ns: argparse.Namespace, fmt: str):
 
 
 def _cmd_decay(ns: argparse.Namespace, fmt: str):
-    from .cohomology import bipartition_to_json
     from .decay import p_bound_of_bipartition, ratio_profile
-    from .params import num_json
 
     B = _bipartition_arg(ns.bipartition)
     bound = p_bound_of_bipartition(B)
@@ -361,13 +432,13 @@ def _cmd_decay(ns: argparse.Namespace, fmt: str):
     profile = ratio_profile(B.N, N_k, c, c_k)
     if fmt == "json":
         return {
-            **bipartition_to_json(B),
+            **_bipartition_to_json(B),
             "N": B.N,
             "N_k": N_k,
             "c": c,
             "c_k": c_k,
-            "ratios": [num_json(r) for r in profile.ratios],
-            "p_bound": num_json(bound) if bound is not None else None,
+            "ratios": profile.ratios,
+            "p_bound": bound,
         }
     if fmt == "csv":
         return chain(
@@ -410,7 +481,6 @@ def _cmd_sx(ns: argparse.Namespace, fmt: str):
 
 def _cmd_derive(ns: argparse.Namespace, fmt: str):
     from .bounds import derive_exponent
-    from .params import num_json
 
     d = derive_exponent(ns.N, ns.a, ns.k)
     if fmt == "json":
@@ -418,7 +488,7 @@ def _cmd_derive(ns: argparse.Namespace, fmt: str):
             "input": {"N": ns.N, "a": ns.a, "k": ns.k},
             "steps": [
                 {"name": s.name, "claim": s.claim, "justification": s.justification,
-                 "value": num_json(s.value)}
+                 "value": s.value}
                 for s in d.steps
             ],
             "chain_exponents": (
@@ -453,7 +523,7 @@ def _cmd_derive(ns: argparse.Namespace, fmt: str):
 
 def _cmd_dominance(ns: argparse.Namespace, fmt: str):
     from .bounds import dominance_check, random_packet
-    from .params import centralizer_group, num_json, shape_to_json
+    from .params import centralizer_group
 
     if ns.trials < 1:
         raise ValueError(f"--trials must be positive, got {ns.trials}")
@@ -469,11 +539,11 @@ def _cmd_dominance(ns: argparse.Namespace, fmt: str):
     code = 0 if violations == 0 else 1
     if fmt == "json":
         return {
-            "shape": shape_to_json(shape),
+            "shape": _shape_to_json(shape),
             "trials": ns.trials,
             "seed": ns.seed,
             "violations": violations,
-            "min_margin": num_json(min_margin),
+            "min_margin": min_margin,
             "holds": violations == 0,
         }, code
     if fmt == "csv":

@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import accumulate, chain
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .guards import DEFAULT_BRUTE_GUARD, _Frozen, refuse_above
 
@@ -55,8 +55,6 @@ __all__ = [
     "gaussian_binomial",
     "poincare_poly",
     "brute_poincare",
-    "bipartition_to_json",
-    "bipartition_from_json",
 ]
 
 
@@ -472,19 +470,3 @@ def brute_poincare(B: Bipartition) -> PoincarePoly:
         coeffs[R + 2 * d] = count
     return PoincarePoly(tuple(coeffs))
 
-
-def bipartition_to_json(B: Bipartition) -> dict:
-    return {"pairs": [[x, y] for x, y in B.pairs]}
-
-
-def bipartition_from_json(data: dict | Sequence) -> Bipartition:
-    """Bipartition from its parsed JSON: an object with a "pairs" list, or the list."""
-    if isinstance(data, dict):
-        if "pairs" not in data:
-            raise ValueError('bipartition JSON must carry a "pairs" list')
-        data = data["pairs"]
-    try:
-        pairs = tuple((x, y) for x, y in data)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"malformed bipartition data: {data!r}") from exc
-    return Bipartition(pairs)

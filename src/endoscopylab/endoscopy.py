@@ -38,8 +38,6 @@ __all__ = [
     "kottwitz_sign_padic",
     "global_kottwitz_product",
     "check_inner_form",
-    "datum_to_json",
-    "split_to_json",
 ]
 
 
@@ -305,18 +303,3 @@ def check_inner_form(spec: InnerFormSpec, N: int) -> bool:
         )
     return ok
 
-
-def datum_to_json(datum: EndoscopicDatum) -> dict:
-    return {
-        "n1": datum.n1,
-        "n2": datum.n2,
-        "proper": datum.proper,
-        "kappa": list(datum.kappa),
-    }
-
-
-def split_to_json(split: ParameterSplit) -> dict:
-    def part(summands: tuple[Summand, ...]) -> list[dict]:
-        return [{"label": s.label, "n": s.n, "m": s.m} for s in summands]
-
-    return {"part1": part(split.part1), "part2": part(split.part2)}

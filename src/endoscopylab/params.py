@@ -26,9 +26,6 @@ __all__ = [
     "s_psi",
     "from_cohomological",
     "is_elliptic",
-    "shape_to_json",
-    "shape_from_json",
-    "num_json",
 ]
 
 
@@ -238,38 +235,3 @@ def from_cohomological(parts: Iterable[int] | Sequence[int]) -> ArthurShape:
         tuple(Summand(f"c{i + 1}", 1, p) for i, p in enumerate(parts))
     )
 
-
-def num_json(value):
-    """Exact JSON rendering: an integral Fraction becomes an int, a proper one "p/q"."""
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return int(value)
-        return f"{value.numerator}/{value.denominator}"
-    return value
-
-
-def shape_to_json(shape: ArthurShape) -> dict:
-    summands = []
-    for s in shape.summands:
-        entry: dict = {"label": s.label, "n": s.n, "m": s.m}
-        if not s.self_dual:
-            entry["self_dual"] = False
-        summands.append(entry)
-    return {"summands": summands}
-
-
-def shape_from_json(data: dict) -> ArthurShape:
-    """Shape from its parsed JSON object; every field must have its exact JSON type."""
-    if not isinstance(data, dict) or not isinstance(data.get("summands"), list):
-        raise ValueError('shape JSON must be an object with a "summands" list')
-    summands = []
-    for entry in data["summands"]:
-        if not isinstance(entry, dict):
-            raise ValueError(f"summand entry must be an object, got {entry!r}")
-        try:
-            # Summand checks the type of each field
-            label, n, m = entry["label"], entry["n"], entry["m"]
-        except KeyError as exc:
-            raise ValueError(f"malformed summand entry: {entry!r}") from exc
-        summands.append(Summand(label, n, m, entry.get("self_dual", True)))
-    return ArthurShape(tuple(summands))

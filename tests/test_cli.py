@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tracemalloc
 from collections.abc import Iterator
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -31,6 +32,14 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def exact(value):
+    """The JSON value of an exact number, kept apart from cli._json_text so that
+    something outside the CLI checks its layout: an int when it is integral,
+    else the string "p/q"."""
+    value = Fraction(value)
+    return int(value) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
 
 
 def test_no_arguments_is_usage_error(capsys):
@@ -324,7 +333,6 @@ def test_derive_json(capsys):
 def test_derive_json_is_json_dumps_of_the_derivation(capsys, N, a, k):
     # the chain rows are rendered one item at a time, never held as a list
     from endoscopylab.bounds import derive_exponent
-    from endoscopylab.params import num_json
 
     argv = ["derive", "--N", str(N), "--a", str(a), "--k", str(k), "--format", "json"]
     code, out, _ = run(capsys, *argv)
@@ -337,7 +345,7 @@ def test_derive_json_is_json_dumps_of_the_derivation(capsys, N, a, k):
         "input": {"N": N, "a": a, "k": k},
         "steps": [
             {"name": s.name, "claim": s.claim, "justification": s.justification,
-             "value": num_json(s.value)}
+             "value": exact(s.value)}
             for s in d.steps
         ],
         "chain_exponents": [
@@ -420,23 +428,23 @@ def test_chains_json(capsys):
 @pytest.mark.parametrize("parts", [(1,), (2, 1), (3, 2, 1, 1), (2, 2, 1, 1, 1)])
 def test_chains_json_is_json_dumps_of_the_chains(capsys, parts):
     # each chain item is put together from the once-rendered text of its steps
-    from endoscopylab.endoscopy import datum_to_json, split_to_json
     from endoscopylab.hyperendoscopy import chain_iota, enumerate_chains
-    from endoscopylab.params import from_cohomological, num_json, shape_to_json
+    from endoscopylab.params import from_cohomological
 
     shape = from_cohomological(parts)
-    text = json.dumps(shape_to_json(shape)).replace('"c1"', '"c\\u00e9\\""')
+    text = json.dumps(cli._shape_to_json(shape)).replace('"c1"', '"c\\u00e9\\""')
     code, out, _ = run(capsys, "chains", "--shape", text, "--format", "json")
     assert code == 0
     data = json.loads(out)
     assert out == json.dumps(data, indent=2) + "\n"
     steps = lambda c: [
-        {"factor": s.factor, "datum": datum_to_json(s.datum), "split": split_to_json(s.split)}
+        {"factor": s.factor, "datum": cli._datum_to_json(s.datum),
+         "split": cli._split_to_json(s.split)}
         for s in c.steps
     ]
     chains = enumerate_chains(shape=cli._shape_arg(text))
     assert data["chains"] == [
-        {"depth": c.depth, "iota": num_json(chain_iota(c)), "terminal": str(c.terminal),
+        {"depth": c.depth, "iota": exact(chain_iota(c)), "terminal": str(c.terminal),
          "steps": steps(c)}
         for c in chains
     ]
@@ -482,6 +490,9 @@ def test_chains_dominant_guard_on_ten_blocks(capsys):
         '{"summands": [{"label": "a", "n": 1.9, "m": 1}]}',
         '{"summands": [{"label": "a", "n": 1, "m": true}]}',
         '{"summands": [{"label": "a", "n": 1, "m": 1, "self_dual": "false"}]}',
+        # a misspelt field is not ignored, and a repeated one not overwritten
+        '{"summands": [{"label": "a", "n": 1, "m": 1, "selfdual": false}]}',
+        '{"summands": [{"label": "a", "n": 1, "m": 2, "m": 1}]}',
         NESTED,
     ],
 )
@@ -613,6 +624,17 @@ def test_json_text_is_json_dumps_at_a_depth(value, depth):
     assert cli._json_text(value, pad) == json.dumps(value, indent=2).replace("\n", pad)
 
 
+@given(
+    value=st.fractions() | st.fractions(max_denominator=1)
+    | st.builds(Fraction, st.integers(-(10**80), 10**80), st.integers(1, 10**80)),
+    depth=st.sampled_from([0, 1, 4]),
+)
+def test_json_text_lays_out_a_fraction_exactly(value, depth):
+    pad = "\n" + "  " * depth
+    assert cli._json_text(value, pad) == json.dumps(exact(value))
+    assert cli._json_text([value], pad) == json.dumps([exact(value)], indent=2).replace("\n", pad)
+
+
 @pytest.mark.parametrize("depth", [0, 1, 4])
 def test_json_text_keeps_a_prerendered_item(depth):
     pad = "\n" + "  " * depth
@@ -695,6 +717,47 @@ def test_missing_shape_file(capsys):
     code, _, err = run(capsys, "chains", "--shape", "nowhere.json")
     assert code == 2
     assert "cannot read" in err
+
+
+def test_invalid_json_file_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "shape.json"
+    path.write_text('{"summands": [}')
+    code, out, err = run(capsys, "chains", "--shape", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {str(path)!r} is not valid JSON: ")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("inline", [True, False], ids=["inline", "file"])
+def test_repeated_json_key_is_usage_error(tmp_path, capsys, inline):
+    # json.loads would keep the last value of the key, and the command would run on it
+    text = '{"pairs": [[1,1]], "pairs": [[2,2]]}'
+    if not inline:
+        (tmp_path / "bipartition.json").write_text(text)
+        text = str(tmp_path / "bipartition.json")
+    code, out, err = run(capsys, "decay", "--bipartition", text)
+    assert (code, out, err) == (2, "", "error: a JSON object repeats the key 'pairs'\n")
+
+
+def test_json_output_passes_back_as_input(capsys):
+    # the top-level shape and bipartition objects ignore the payload's other keys
+    _, out, _ = run(capsys, "poincare", "--bipartition", "[[2,1],[0,3]]", "--format", "json")
+    assert run(capsys, "poincare", "--bipartition", out.strip(), "--format", "json") == (0, out, "")
+    _, out, _ = run(capsys, "packet", "--a", "2", "--b", "2", "--P", "2,2", "--format", "json")
+    member = json.dumps(json.loads(out)["members"][1])
+    code, again, _ = run(capsys, "poincare", "--bipartition", member, "--format", "json")
+    assert code == 0 and json.loads(again)["pairs"] == json.loads(member)["pairs"]
+    _, out, _ = run(capsys, "chains", "--shape", SHAPE_21, "--format", "json")
+    shape = {**json.loads(out)["shape"], "dominant": False}
+    assert run(capsys, "chains", "--shape", json.dumps(shape), "--format", "json") == (0, out, "")
+
+
+@pytest.mark.parametrize("P", ["1,,1", "1,1,", "", "1,x"],
+                         ids=["empty piece", "trailing comma", "empty", "not an integer"])
+def test_partition_needs_an_integer_in_every_piece(capsys, P):
+    code, out, err = run(capsys, "packet", "--a", "1", "--b", "1", f"--P={P}")
+    assert (code, out) == (2, "")
+    assert err == f"error: --P expects a comma list of integers, got {P!r}\n"
 
 
 def test_poincare_json(capsys):

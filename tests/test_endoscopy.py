@@ -12,7 +12,6 @@ from endoscopylab.endoscopy import (
     ParameterSplit,
     bijection,
     check_inner_form,
-    datum_to_json,
     dominant_group,
     elliptic_data,
     global_kottwitz_product,
@@ -21,6 +20,7 @@ from endoscopylab.endoscopy import (
     kottwitz_sign_real,
     make_split,
 )
+from endoscopylab import cli
 from endoscopylab.guards import GuardError
 from endoscopylab.params import BlockSignVector, Summand, from_cohomological, s_psi
 
@@ -174,8 +174,10 @@ def test_validity_tracks_kottwitz_product(spec_n):
 
 
 def test_datum_json():
-    data = datum_to_json(EndoscopicDatum(4, 1))
-    assert data["n1"] == 4 and data["n2"] == 1
+    # the CLI's rendering of a datum, the one module that writes JSON
+    assert cli._datum_to_json(EndoscopicDatum(4, 1)) == {
+        "n1": 4, "n2": 1, "proper": True, "kappa": [-1, 1]
+    }
 
 
 def test_bijection_guard_counts_the_table_first():

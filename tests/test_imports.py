@@ -252,15 +252,25 @@ def classes_defining(source: str, name: str) -> list[str]:
     ]
 
 
+def json_codecs(source: str) -> list[str]:
+    """The top-level functions whose name ends in _json, and each class that
+    defines to_json."""
+    return [
+        node.name
+        for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef) and node.name.endswith("_json")
+    ] + [f"{cls}.to_json" for cls in classes_defining(source, "to_json")]
+
+
 def test_only_the_cli_renders_json():
-    # the library returns values, and each command builds its own payload
-    rendered = {path.stem: callers(path.read_text(), "num_json") for path in MODULES}
-    assert {stem for stem, f in rendered.items() if f} == {"cli"}
-    assert {path.stem for path in MODULES if classes_defining(path.read_text(), "to_json")} == set()
-    assert callers("from .params import num_json\ndef f(d):\n    return params.num_json(d)\n",
-                   "num_json") == ["f"]
-    assert classes_defining("class A:\n    def to_json(self): pass\nclass B:\n    to_json = 1\n"
-                            "def to_json(): pass\n", "to_json") == ["A"]
+    # the library computes values, and cli alone holds the JSON schema, both ways
+    codecs = {path.stem: json_codecs(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {stem for stem, names in codecs.items() if names} == {"cli"}
+    assert "_shape_from_json" in codecs["cli"]
+    assert json_codecs(
+        "def a_json(): pass\nclass A:\n    def to_json(self): pass\n    def b_json(self): pass\n"
+        "class B:\n    to_json = 1\ndef f():\n    def c_json(): pass\nx_json = 1\n"
+    ) == ["a_json", "A.to_json"]
 
 
 def test_blocks_are_split_only_through_the_mask_helper():
@@ -329,6 +339,10 @@ SHAPE = json.dumps(
                      id="chains --dominant"),
         pytest.param(["dominance", "--shape", SHAPE, "--trials", "3"],
                      {"decay", "cohomology", "hyperendoscopy"}, id="dominance"),
+        pytest.param(["decay", "--bipartition", "[[2,2],[1,0]]"],
+                     {"params", "endoscopy", "hyperendoscopy", "bounds"}, id="decay"),
+        pytest.param(["poincare", "--bipartition", "[[2,1],[0,3],[1,1]]"],
+                     {"params", "endoscopy", "hyperendoscopy", "bounds", "decay"}, id="poincare"),
     ],
 )
 def test_command_loads_only_the_modules_it_uses(argv, unused):
@@ -499,12 +513,12 @@ def test_cli_imports_no_private_name_from_the_package():
 
 
 # Every name the package's __init__ imported eagerly, before it resolved names
-# lazily, by the submodule that defines it.
+# lazily, by the submodule that defines it; but shape_from_json and
+# shape_to_json, which left the public API when cli took over the JSON schema.
 EAGER_EXPORTS = {
     "params": [
         "ArthurShape", "BlockSignVector", "GroupChar", "Summand", "TwoGroup",
         "centralizer_group", "from_cohomological", "is_elliptic", "s_psi",
-        "shape_from_json", "shape_to_json",
     ],
     "endoscopy": [
         "EndoscopicDatum", "InnerFormSpec", "ParameterSplit", "bijection",

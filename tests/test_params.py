@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from endoscopylab import cli
 from endoscopylab.bounds import PacketModel
 from endoscopylab.hyperendoscopy import FormalDist
 from endoscopylab.params import (
@@ -18,8 +19,6 @@ from endoscopylab.params import (
     from_cohomological,
     is_elliptic,
     s_psi,
-    shape_from_json,
-    shape_to_json,
 )
 
 
@@ -132,9 +131,11 @@ def test_from_cohomological_rejects_bad_parts():
         from_cohomological((2, 0))
 
 
+# The shape's JSON codec lives in the CLI, the one module that reads and
+# writes JSON; its tests stay here, next to the shapes they build.
 labels = st.text(alphabet="abcxyz", min_size=1, max_size=3)
 summands = st.builds(
-    Summand, label=labels, n=st.integers(1, 3), m=st.integers(1, 4)
+    Summand, label=labels, n=st.integers(1, 3), m=st.integers(1, 4), self_dual=st.booleans()
 )
 shapes = st.lists(summands, min_size=1, max_size=4).map(
     lambda xs: ArthurShape(tuple(xs))
@@ -143,14 +144,14 @@ shapes = st.lists(summands, min_size=1, max_size=4).map(
 
 @given(shapes)
 def test_shape_json_roundtrip(shape):
-    assert shape_from_json(shape_to_json(shape)) == shape
+    assert cli._shape_from_json(cli._shape_to_json(shape)) == shape
 
 
 def test_shape_json_rejects_garbage():
     with pytest.raises(ValueError):
-        shape_from_json({"blocks": []})
+        cli._shape_from_json({"blocks": []})
     with pytest.raises(ValueError):
-        shape_from_json({"summands": [{"label": "a", "n": 0, "m": 1}]})
+        cli._shape_from_json({"summands": [{"label": "a", "n": 0, "m": 1}]})
 
 
 @pytest.mark.parametrize(
@@ -172,14 +173,14 @@ def test_shape_json_rejects_garbage():
 )
 def test_shape_json_rejects_wrong_types(data):
     with pytest.raises(ValueError):
-        shape_from_json(data)
+        cli._shape_from_json(data)
     with pytest.raises(ValueError):
-        shape_from_json(json.dumps(data))
+        cli._shape_from_json(json.dumps(data))
 
 
 def test_shape_json_reads_explicit_self_dual():
     data = {"summands": [{"label": "a", "n": 1, "m": 1, "self_dual": False}]}
-    assert shape_from_json(data).summands[0].self_dual is False
+    assert cli._shape_from_json(data).summands[0].self_dual is False
 
 
 # each public constructor or operator that takes an exact number, fed one
