@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Sequence
 
 # Library modules are imported inside the commands, so a process loads only
 # what its command uses.
-from .guards import DEFAULT_CHAIN_GUARD, DEFAULT_SEED, GuardError, guard_limit
+from .guards import DEFAULT_CHAIN_GUARD, DEFAULT_SEED, GuardError, decimal_int, guard_limit
 
 if TYPE_CHECKING:
     from .cohomology import Bipartition, PoincarePoly
@@ -86,7 +86,9 @@ def _shape_from_json(data) -> ArthurShape:
             label, n, m = entry["label"], entry["n"], entry["m"]
         except KeyError as exc:
             raise ValueError(f"malformed summand entry: {entry!r}") from exc
-        summands.append(Summand(label, n, m, entry.get("self_dual", True)))
+        if entry.get("self_dual", True) is not True:  # every block is conjugate self-dual
+            raise ValueError(f'"self_dual" can only be true: {entry!r}')
+        summands.append(Summand(label, n, m))
     return ArthurShape(tuple(summands))
 
 
@@ -107,13 +109,7 @@ def _bipartition_from_json(data) -> Bipartition:
 
 def _summands_json(summands: Sequence[Summand]) -> list[dict]:
     """The summand entries of a shape or of one part of a split."""
-    entries = []
-    for s in summands:
-        entry: dict = {"label": s.label, "n": s.n, "m": s.m}
-        if not s.self_dual:
-            entry["self_dual"] = False
-        entries.append(entry)
-    return entries
+    return [{"label": s.label, "n": s.n, "m": s.m} for s in summands]
 
 
 def _shape_to_json(shape: ArthurShape) -> dict:
@@ -149,14 +145,13 @@ def _expansion(terms, fmt: str):
         if fmt == "json":
             yield {
                 "coefficient": coeff,
-                "group": group if key else "1",
+                "group": group,
                 "factors": [_shape_to_json(f) for f in key],
             }
         elif fmt == "csv":
             yield str(coeff), group, " | ".join(map(str, key))
         else:
-            label = f"{group} [{' | '.join(map(str, key))}]" if key else "1"
-            yield f"  {coeff!s:>8}  I^{{{label}}}"
+            yield f"  {coeff!s:>8}  I^{{{group} [{' | '.join(map(str, key))}]}}"
 
 
 # json.dumps, but a Fraction is the int when it is integral, else "p/q".  json
@@ -358,7 +353,7 @@ def _cmd_chains(ns: argparse.Namespace, fmt: str):
 
 def _parse_partition(text: str) -> tuple[int, ...]:
     try:  # every piece, so an empty one (",," or a trailing comma) is an error
-        return tuple(int(piece) for piece in text.split(","))
+        return tuple(decimal_int(piece) for piece in text.split(","))
     except ValueError as exc:
         raise ValueError(f"--P expects a comma list of integers, got {text!r}") from exc
 
@@ -597,7 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = command("endoscopy", _cmd_endoscopy, "elliptic endoscopic data and sign table")
-    p.add_argument("--N", type=int, required=True, help="rank of the group")
+    p.add_argument("--N", type=decimal_int, required=True, help="rank of the group")
     p.add_argument("--shape", help="shape JSON (inline or file) for the sign table")
 
     p = command("chains", _cmd_chains, "refinement chains and their expansion")
@@ -606,8 +601,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="expand the distinguished central-sign term instead")
 
     p = command("packet", _cmd_packet, "all members over an ordered partition")
-    p.add_argument("--a", type=int, required=True, help="first signature entry")
-    p.add_argument("--b", type=int, required=True, help="second signature entry")
+    p.add_argument("--a", type=decimal_int, required=True, help="first signature entry")
+    p.add_argument("--b", type=decimal_int, required=True, help="second signature entry")
     p.add_argument("--P", required=True, help="comma list of parts, e.g. 2,1,1")
 
     p = command("poincare", _cmd_poincare, "cohomology polynomial of one member")
@@ -617,23 +612,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bipartition", required=True, help="JSON (inline or file)")
 
     p = command("sx", _cmd_sx, "compare the proved exponent with the allowance")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--N", type=decimal_int, required=True)
+    p.add_argument("--k", type=decimal_int, required=True)
 
     p = command("derive", _cmd_derive, "step-by-step exponent derivation")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--N", type=decimal_int, required=True)
+    p.add_argument("--a", type=decimal_int, required=True)
+    p.add_argument("--k", type=decimal_int, required=True)
     p.add_argument("--json", action="store_const", const="json", dest="format",
                    help="shorthand for --format json")
 
     p = command("dominance", _cmd_dominance, "randomized dominance trials on a shape")
     p.add_argument("--shape", required=True, help="shape JSON (inline or file)")
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--trials", type=decimal_int, default=200)
+    p.add_argument("--seed", type=decimal_int, default=DEFAULT_SEED)
 
     p = command("selftest", _cmd_selftest, "run the acceptance checks")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=decimal_int, default=DEFAULT_SEED)
 
     return parser
 

@@ -29,6 +29,11 @@ class DecayProfile(_Frozen):
         object.__setattr__(self, "p_bound", p_bound)
 
 
+def _p_bound(N: int, N_k: int) -> Fraction | None:
+    """2(N - 1)/(N - N_k), or None (unbounded) when N_k = N."""
+    return None if N_k == N else Fraction(2 * (N - 1), N - N_k)
+
+
 def ratio_profile(N: int, N_k: int, c: int, c_k: int) -> DecayProfile:
     """Ratios (N_k - j)/(N - j) for j = 1..c, zero past c_k.
 
@@ -48,8 +53,7 @@ def ratio_profile(N: int, N_k: int, c: int, c_k: int) -> DecayProfile:
     ratios = tuple(
         Fraction(N_k - j, N - j) if j <= c_k else Fraction(0) for j in range(1, c + 1)
     )
-    p_bound = None if N_k == N else Fraction(2 * (N - 1), N - N_k)
-    return DecayProfile(ratios, p_bound)
+    return DecayProfile(ratios, _p_bound(N, N_k))
 
 
 def p_bound_of_bipartition(B: Bipartition) -> Fraction | None:
@@ -64,11 +68,7 @@ def p_bound_of_bipartition(B: Bipartition) -> Fraction | None:
             f"decay bound needs exactly one mixed pair, found {len(mixed)} "
             f"among {len(B.pairs)} pairs"
         )
-    N = B.N
-    N_k = sum(mixed[0])
-    if N_k == N:
-        return None
-    return Fraction(2 * (N - 1), N - N_k)
+    return _p_bound(B.N, sum(mixed[0]))
 
 
 class SxResult(NamedTuple):

@@ -213,7 +213,6 @@ def dominant_group(shape: ArthurShape) -> tuple[EndoscopicDatum, ParameterSplit]
     is the improper datum with the trivial split.  Costs O(r): only the one
     entry of :func:`bijection` is built.
     """
-    # centralizer_group rejects a non-elliptic shape, as bijection does
     group = centralizer_group(shape)
     return _datum_split(shape, group.from_sign_vector(s_psi(shape)))
 

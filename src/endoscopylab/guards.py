@@ -8,6 +8,7 @@ from operator import attrgetter, eq, ge, gt, le, lt
 
 __all__ = [
     "GuardError",
+    "decimal_int",
     "guard_limit",
     "refuse_above",
     "DEFAULT_BRUTE_GUARD",
@@ -24,12 +25,24 @@ class GuardError(RuntimeError):
     """An enumeration would exceed the configured cap."""
 
 
+def decimal_int(text: str) -> int:
+    """The int that text writes as an optional "-" and ASCII digits only.
+
+    int() also takes a "+", surrounding spaces, "_" between digits and the
+    digits of other scripts; each of those is a ValueError here.
+    """
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def guard_limit(default: int) -> int:
     """The cap: ENDOSCOPYLAB_GUARD when set, else the default."""
     env = os.environ.get("ENDOSCOPYLAB_GUARD")
     if env:
         try:
-            value = int(env)
+            value = decimal_int(env)
         except ValueError:
             raise ValueError(f"ENDOSCOPYLAB_GUARD must be an integer, got {env!r}")
         if value < 1:

@@ -2,10 +2,11 @@
 
 A shape is an ordered list of blocks, each pairing an opaque cuspidal label of
 rank ``n`` with the ``m``-dimensional irreducible representation ``nu(m)`` of
-SL(2); the total rank is ``N = sum(n_i * m_i)``.  For an elliptic shape (all
-blocks distinct and conjugate self-dual) the centralizer of the image in the
-dual group has component group ``(Z/2Z)^(r-1)``: one sign per block, modulo
-negating all of them at once.  This module models that group concretely:
+SL(2); the total rank is ``N = sum(n_i * m_i)``.  Every shape is elliptic:
+its blocks are conjugate self-dual, and the constructor refuses two with the
+same label and ``m``.  So the centralizer of the image in the dual group has
+component group ``(Z/2Z)^(r-1)``: one sign per block, modulo negating all of
+them at once.  This module models that group concretely:
 elements as sign vectors, characters as parity functionals on bit masks.
 """
 
@@ -25,7 +26,6 @@ __all__ = [
     "centralizer_group",
     "s_psi",
     "from_cohomological",
-    "is_elliptic",
 ]
 
 
@@ -35,16 +35,14 @@ def _is_exact_number(value) -> bool:
 
 
 class Summand(_Frozen):
-    """One block ``label (x) nu(m)`` of rank ``n * m``."""
+    """One conjugate self-dual block ``label (x) nu(m)`` of rank ``n * m``."""
 
     # shapes hash and sort their blocks often, so the field tuple is kept
-    __slots__ = ("label", "n", "m", "self_dual", "_values")
+    __slots__ = ("label", "n", "m", "_values")
 
-    def __init__(self, label: str, n: int, m: int, self_dual: bool = True) -> None:
+    def __init__(self, label: str, n: int, m: int) -> None:
         if type(label) is not str:
             raise ValueError(f"label must be a string, got {label!r}")
-        if type(self_dual) is not bool:
-            raise ValueError(f"self_dual must be a boolean, got {self_dual!r}")
         if type(n) is not int or type(m) is not int:
             raise ValueError(f"n and m must be integers, got n={n!r}, m={m!r}")
         if n < 1:
@@ -54,8 +52,7 @@ class Summand(_Frozen):
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "self_dual", self_dual)
-        object.__setattr__(self, "_values", (label, n, m, self_dual))
+        object.__setattr__(self, "_values", (label, n, m))
 
     @property
     def block_dim(self) -> int:
@@ -72,7 +69,8 @@ class Summand(_Frozen):
 
 
 class ArthurShape(_Frozen):
-    """Formal sum of blocks; the restriction of a parameter to its SL(2) shape."""
+    """Formal sum of pairwise distinct blocks: the SL(2) shape of an elliptic
+    parameter."""
 
     __slots__ = ("summands",)
 
@@ -81,6 +79,8 @@ class ArthurShape(_Frozen):
         if not summands:
             raise ValueError("a shape needs at least one summand")
         object.__setattr__(self, "summands", summands)
+        if len({s.key for s in summands}) != len(summands):
+            raise ValueError(f"shape is not elliptic: {self}")
 
     @property
     def N(self) -> int:
@@ -96,17 +96,6 @@ class ArthurShape(_Frozen):
 
     def __str__(self) -> str:
         return " + ".join(str(s) for s in self.summands)
-
-
-def is_elliptic(shape: ArthurShape) -> bool:
-    """True when all blocks are pairwise distinct and conjugate self-dual."""
-    keys = [s.key for s in shape.summands]
-    return len(set(keys)) == len(keys) and all(s.self_dual for s in shape.summands)
-
-
-def _require_elliptic(shape: ArthurShape) -> None:
-    if not is_elliptic(shape):
-        raise ValueError(f"shape is not elliptic: {shape}")
 
 
 class BlockSignVector(_Frozen):
@@ -206,8 +195,7 @@ class GroupChar(_Frozen):
 
 
 def centralizer_group(shape: ArthurShape) -> TwoGroup:
-    """Component group of the centralizer of an elliptic shape: rank r - 1."""
-    _require_elliptic(shape)
+    """Component group of the centralizer of a shape: rank r - 1."""
     return TwoGroup(shape.r - 1)
 
 
@@ -224,7 +212,7 @@ def from_cohomological(parts: Iterable[int] | Sequence[int]) -> ArthurShape:
     """Shape attached to an ordered partition (N_1, ..., N_r) of N.
 
     Each part becomes a block of rank one paired with nu(N_i); labels are
-    fresh and pairwise distinct, so the result is elliptic.
+    fresh and pairwise distinct.
     """
     parts = tuple(parts)
     if not parts:

@@ -195,12 +195,8 @@ def test_stable_coefficient_rejects_bad_input():
         stable_coefficient(shape, BlockSignVector((1, -1)))
     with pytest.raises(ValueError):
         stable_coefficient(shape, BlockSignVector((1, -1, 1, 1)))
-    repeated = ArthurShape((Summand("c", 1, 2), Summand("c", 1, 2)))
-    with pytest.raises(ValueError):
-        stable_coefficient(repeated, BlockSignVector((1, -1)))
-    not_self_dual = ArthurShape((Summand("c", 1, 2), Summand("d", 1, 1, False)))
-    with pytest.raises(ValueError):
-        stable_coefficient(not_self_dual, BlockSignVector((1, -1)))
+    with pytest.raises(ValueError):  # a repeated block is refused with the shape
+        ArthurShape((Summand("c", 1, 2), Summand("c", 1, 2)))
 
 
 def test_derive_exponent_n40():

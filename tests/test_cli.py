@@ -20,6 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from endoscopylab import cli, selftest
+from endoscopylab.guards import decimal_int
 from endoscopylab.selftest import CheckResult, run_all
 
 SHAPE_21 = '{"summands": [{"label": "c1", "n": 1, "m": 2}, {"label": "c2", "n": 1, "m": 1}]}'
@@ -760,6 +761,72 @@ def test_partition_needs_an_integer_in_every_piece(capsys, P):
     assert err == f"error: --P expects a comma list of integers, got {P!r}\n"
 
 
+@pytest.mark.parametrize("text", ["", "-", "+5", " 5", "5 ", "1_0", "\u0665", "5.0", "--5", "0x5"])
+def test_decimal_int_takes_only_ascii_digits(text):
+    with pytest.raises(ValueError):
+        decimal_int(text)
+
+
+def test_decimal_int_reads_a_sign_and_leading_zeros():
+    texts = ("0", "-0", "007", "-12", "9" * 40)
+    assert [decimal_int(t) for t in texts] == [0, 0, 7, -12, 10**40 - 1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("packet", "--a", "1", "--b", "9", "--P", "1_0"),
+        ("packet", "--a", "1", "--b", "9", "--P= 1, 1"),
+        ("packet", "--a", "1", "--b", "9", "--P", "+1"),
+        ("packet", "--a", "+1", "--b", "9", "--P", "1"),
+        ("endoscopy", "--N", "1_0"),
+        ("sx", "--N= 7", "--k", "2"),
+        ("sx", "--N", "\u0667", "--k", "2"),
+        ("derive", "--N", "12", "--a", "3", "--k", "2 "),
+        ("dominance", "--shape", SHAPE_21, "--trials", "1_0"),
+    ],
+    ids=["P underscore", "P spaces", "P plus", "a plus", "N underscore", "N space",
+         "N arabic-indic", "k trailing space", "trials underscore"],
+)
+def test_integer_arguments_are_plain_decimal(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "error:" in err
+
+
+@pytest.mark.parametrize("value", ["1_0", "+5", " 50 ", "\u0665"])
+def test_guard_variable_is_plain_decimal(capsys, monkeypatch, value):
+    monkeypatch.setenv("ENDOSCOPYLAB_GUARD", value)
+    code, out, err = run(capsys, "sx", "--N", "5", "--k", "2")
+    assert (code, out) == (2, "")
+    assert err == f"error: ENDOSCOPYLAB_GUARD must be an integer, got {value!r}\n"
+
+
+def test_negative_integer_arguments_still_parse(capsys):
+    code, out, err = run(capsys, "dominance", "--shape", SHAPE_21, "--trials", "2",
+                         "--seed", "-5", "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["seed"] == -5
+    # the library, not the parser, refuses k = -1
+    assert run(capsys, "sx", "--N", "5", "--k", "-1") == (
+        2, "", "error: need 1 <= k <= 2, got k=-1\n"
+    )
+
+
+REPEATED = json.dumps({"summands": [{"label": "a", "n": 1, "m": 2}] * 2})
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("chains",), ("chains", "--dominant"), ("endoscopy", "--N", "4"), ("dominance",)],
+    ids=" ".join,
+)
+def test_a_shape_that_repeats_a_block_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv, "--shape", REPEATED)
+    assert (code, out) == (2, "")
+    assert err == "error: shape is not elliptic: a*nu(2) + a*nu(2)\n"
+
+
 def test_poincare_json(capsys):
     code, out, _ = run(
         capsys, "poincare", "--bipartition", "[[1,1],[1,0]]", "--format", "json"
@@ -978,8 +1045,8 @@ def shape_documents(draw):
         for label in labels
     ]
     for entry in summands:
-        if draw(st.integers(0, 5)) == 0:
-            entry["self_dual"] = False
+        if draw(st.integers(0, 5)) == 0:  # true is accepted, false a usage error
+            entry["self_dual"] = draw(st.booleans())
     N = sum(entry["n"] * entry["m"] for entry in summands)
     spoil = draw(SPOIL)
     if spoil == "document":

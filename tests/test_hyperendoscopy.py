@@ -165,6 +165,14 @@ def test_a_shape_and_an_assignment_together_are_refused():
             call(shape=shape, assignment=(shape,))
 
 
+def test_factors_that_share_a_block_are_refused():
+    # both factors hold c1*nu(2), so their product is not an elliptic shape
+    assignment = (from_cohomological((2, 1)), from_cohomological((2,)))
+    for call in (enumerate_chains, expand_stable, verify_inversion):
+        with pytest.raises(ValueError, match="shape is not elliptic"):
+            call(assignment=assignment)
+
+
 def test_chain_guard_trips(monkeypatch):
     shape = from_cohomological((1, 1, 1))  # 7 chains
     monkeypatch.setenv("ENDOSCOPYLAB_GUARD", "6")

@@ -273,6 +273,42 @@ def test_only_the_cli_renders_json():
     ) == ["a_json", "A.to_json"]
 
 
+ELLIPTICITY_TESTS = {"is_elliptic", "_require_elliptic"}
+
+
+def ellipticity_checks(source: str) -> list[str]:
+    """Each read of a self_dual attribute, and each definition, assignment or
+    import of a name in ELLIPTICITY_TESTS."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "self_dual":
+            found.append(".self_dual")
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [f"import {a.name}" for a in node.names if a.name in ELLIPTICITY_TESTS]
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in ELLIPTICITY_TESTS:
+            found.append(f"def {node.name}")
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) and (
+            node.id in ELLIPTICITY_TESTS
+        ):
+            found.append(f"def {node.id}")
+    return sorted(found)
+
+
+def test_no_module_asks_whether_a_shape_is_elliptic():
+    # every ArthurShape is elliptic by construction: its constructor alone
+    # refuses a repeated block, and a block carries no self_dual flag
+    for path in sorted(PACKAGE.glob("*.py")):
+        assert ellipticity_checks(path.read_text()) == [], path.stem
+    assert ellipticity_checks(
+        "from .params import is_elliptic as ok\nimport os\n"
+        "def _require_elliptic(s):\n    return s.self_dual\n"
+        "class A:\n    def is_elliptic(self): pass\n"
+        "is_elliptic = None\nos.sep = None\n"
+        "def f(d):\n    return d['self_dual'], d.self_dual_x, is_elliptic(d)\n"
+    ) == [".self_dual", "def _require_elliptic", "def is_elliptic", "def is_elliptic",
+          "import is_elliptic"]
+
+
 def test_blocks_are_split_only_through_the_mask_helper():
     # every split of a shape's blocks is made from two masks by _split_at
     made = {path.stem: callers(path.read_text(), "make_split") for path in MODULES}
@@ -514,11 +550,12 @@ def test_cli_imports_no_private_name_from_the_package():
 
 # Every name the package's __init__ imported eagerly, before it resolved names
 # lazily, by the submodule that defines it; but shape_from_json and
-# shape_to_json, which left the public API when cli took over the JSON schema.
+# shape_to_json, which left the public API when cli took over the JSON schema,
+# and is_elliptic, which left it when every shape became elliptic.
 EAGER_EXPORTS = {
     "params": [
         "ArthurShape", "BlockSignVector", "GroupChar", "Summand", "TwoGroup",
-        "centralizer_group", "from_cohomological", "is_elliptic", "s_psi",
+        "centralizer_group", "from_cohomological", "s_psi",
     ],
     "endoscopy": [
         "EndoscopicDatum", "InnerFormSpec", "ParameterSplit", "bijection",

@@ -17,7 +17,6 @@ from endoscopylab.params import (
     TwoGroup,
     centralizer_group,
     from_cohomological,
-    is_elliptic,
     s_psi,
 )
 
@@ -54,11 +53,13 @@ def test_canonical_is_order_independent():
 
 
 def test_ellipticity():
-    assert is_elliptic(from_cohomological((2, 1)))
-    twice = ArthurShape((Summand("a", 1, 2), Summand("a", 1, 2)))
-    assert not is_elliptic(twice)
-    unstable = ArthurShape((Summand("a", 1, 2, self_dual=False),))
-    assert not is_elliptic(unstable)
+    # the constructor refuses two blocks with the same label and m
+    with pytest.raises(ValueError) as info:
+        ArthurShape((Summand("a", 1, 2), Summand("a", 1, 2)))
+    assert str(info.value) == "shape is not elliptic: a*nu(2) + a*nu(2)"
+    with pytest.raises(ValueError, match="not elliptic"):
+        ArthurShape((Summand("a", 1, 2), Summand("b", 1, 1), Summand("a", 3, 2)))
+    assert ArthurShape((Summand("a", 1, 2), Summand("a", 1, 1))).r == 2
 
 
 def test_sign_vector_canonical_negation():
@@ -105,9 +106,8 @@ def test_character_multiplicativity(mask, x, y):
 def test_centralizer_group_rank():
     assert centralizer_group(from_cohomological((1, 1, 1))).rank == 2
     assert centralizer_group(from_cohomological((3,))).rank == 0
-    twice = ArthurShape((Summand("a", 1, 2), Summand("a", 1, 2)))
-    with pytest.raises(ValueError):
-        centralizer_group(twice)
+    with pytest.raises(ValueError):  # no repeated shape reaches centralizer_group
+        centralizer_group(ArthurShape((Summand("a", 1, 2), Summand("a", 1, 2))))
 
 
 def test_s_psi_sign_by_parity():
@@ -134,10 +134,8 @@ def test_from_cohomological_rejects_bad_parts():
 # The shape's JSON codec lives in the CLI, the one module that reads and
 # writes JSON; its tests stay here, next to the shapes they build.
 labels = st.text(alphabet="abcxyz", min_size=1, max_size=3)
-summands = st.builds(
-    Summand, label=labels, n=st.integers(1, 3), m=st.integers(1, 4), self_dual=st.booleans()
-)
-shapes = st.lists(summands, min_size=1, max_size=4).map(
+summands = st.builds(Summand, label=labels, n=st.integers(1, 3), m=st.integers(1, 4))
+shapes = st.lists(summands, min_size=1, max_size=4, unique_by=lambda s: s.key).map(
     lambda xs: ArthurShape(tuple(xs))
 )
 
@@ -179,8 +177,12 @@ def test_shape_json_rejects_wrong_types(data):
 
 
 def test_shape_json_reads_explicit_self_dual():
-    data = {"summands": [{"label": "a", "n": 1, "m": 1, "self_dual": False}]}
-    assert cli._shape_from_json(data).summands[0].self_dual is False
+    # every block is conjugate self-dual: true is accepted and means nothing
+    entry = {"label": "a", "n": 1, "m": 1}
+    shape = cli._shape_from_json({"summands": [{**entry, "self_dual": True}]})
+    assert shape == cli._shape_from_json({"summands": [entry]})
+    with pytest.raises(ValueError, match="self_dual"):
+        cli._shape_from_json({"summands": [{**entry, "self_dual": False}]})
 
 
 # each public constructor or operator that takes an exact number, fed one
@@ -204,11 +206,10 @@ def test_constructors_refuse_silent_coercions(site, value):
         build(value)
 
 
-# the block fields that hold a str and a bool, each with an exact value and
-# values of other types: a truthy string, or a label that breaks the sort
+# the block field that holds a str, with an exact value and values of other
+# types, each a label that breaks the sort
 FIELD_SITES = {
     "Summand.label": (lambda v: Summand(v, 1, 2), "a", (5, True, None)),
-    "Summand.self_dual": (lambda v: Summand("a", 1, 2, v), False, ("false", 1, None)),
 }
 
 

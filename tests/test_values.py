@@ -17,7 +17,7 @@ from endoscopylab.guards import _Frozen
 from endoscopylab.hyperendoscopy import ChainStep, GroupSymbol, HyperChain
 from endoscopylab.params import ArthurShape, BlockSignVector, GroupChar, Summand, TwoGroup
 
-S1, S2 = Summand("c1", 1, 3), Summand("cé\"", 2, 1, False)
+S1, S2 = Summand("c1", 1, 3), Summand("cé\"", 2, 1)
 SPLIT = ParameterSplit((S1,), (S2,))
 STEP = ChainStep(0, EndoscopicDatum(3, 2), SPLIT)
 
@@ -99,7 +99,7 @@ def test_copy_and_pickle_give_an_equal_value(value):
 
 
 def test_repr_is_the_old_dataclass_repr():
-    assert repr(S1) == "Summand(label='c1', n=1, m=3, self_dual=True)"
+    assert repr(S1) == "Summand(label='c1', n=1, m=3)"
     assert repr(GroupSymbol((1, 3))) == "GroupSymbol(ranks=(3, 1))"
     assert repr(Bipartition([[1, 0], (0, 2)])) == "Bipartition(pairs=((1, 0), (0, 2)))"
     assert repr(PoincarePoly([1, 0, 1, 0])) == "PoincarePoly(coeffs=(1, 0, 1))"
@@ -126,8 +126,7 @@ def test_the_same_fields_in_another_class_are_unequal():
 def test_sorting_orders_by_the_field_tuple(seed):
     rng = random.Random(seed)
     summands = [
-        Summand(rng.choice("abc"), rng.randint(1, 3), rng.randint(1, 3), rng.random() < 0.5)
-        for _ in range(40)
+        Summand(rng.choice("abc"), rng.randint(1, 3), rng.randint(1, 3)) for _ in range(40)
     ]
     data = [EndoscopicDatum(n1, rng.randint(0, n1)) for n1 in rng.choices(range(1, 6), k=40)]
     symbols = [GroupSymbol(rng.choices(range(1, 5), k=rng.randint(1, 4))) for _ in range(40)]
